@@ -30,7 +30,7 @@ for gemm/serving specs, the full conv entry point for conv specs -- and
 the gate also requires byte-identity between the two, a compiled
 geometric mean no slower than numpy overall, and a gemm-suite compiled
 geomean of at least :data:`DEFAULT_MIN_COMPILED_GEMM_SPEEDUP`.  Runs
-without a compiled backend (the CI ``without-numba``/numpy-only leg)
+without a compiled backend (the CI numpy-only leg, cffi uninstalled)
 simply omit the comparison; the gate skips those checks.
 
 CLI (see ``python -m repro.bench --help``)::
@@ -104,7 +104,7 @@ DEFAULT_MIN_GEMM_SPEEDUP = 10.0
 
 #: Floor on the gemm suite's geometric-mean compiled-vs-numpy speedup on
 #: the popcount-reduce GEMM path (only enforced when a compiled backend
-#: ran; the fused C/JIT kernel measures 3.5-4.8x at the bench shapes, so
+#: ran; the fused C kernel measures 3.5-4.8x at the bench shapes, so
 #: 2x is a regression floor, not an aspiration).
 DEFAULT_MIN_COMPILED_GEMM_SPEEDUP = 2.0
 

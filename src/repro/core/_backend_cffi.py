@@ -19,10 +19,13 @@ Three functions mirror the numpy packed path exactly (bit for bit):
 The shared object is compiled once per C-source hash and cached under
 ``REPRO_CFFI_CACHE`` (default ``~/.cache/repro/cffi``), so only the
 first process on a machine pays the ~seconds of gcc; everyone after
-does a dlopen.  ``-march=native`` matters: without ``-mpopcnt`` gcc
-lowers ``__builtin_popcountll`` to a libgcc bit-twiddling routine and
-the GEMM runs ~10x slower, so the build tries native flags first and
-falls back to plain ``-O3`` on compilers that reject them.
+does a dlopen.  Processes that start cold together each compile in a
+private directory and publish the object atomically, so none of them
+can load a half-written file.  ``-march=native`` matters: without
+``-mpopcnt`` gcc lowers ``__builtin_popcountll`` to a libgcc
+bit-twiddling routine and the GEMM runs ~10x slower, so the build tries
+native flags first and falls back to plain ``-O3`` on compilers that
+reject them.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import os
+import tempfile
 from pathlib import Path
 from typing import Any, Callable
 
@@ -176,6 +180,36 @@ def _load_module(so_path: Path, modname: str):
     return module
 
 
+def _compile(directory: Path, modname: str) -> Path:
+    """Build the shared object and publish it into ``directory``.
+
+    gcc writes into a private temp directory and the finished ``.so`` is
+    moved in with one atomic ``os.replace``, so a concurrent process
+    never dlopens a half-written file; racing builders each publish a
+    complete, identical object and the last rename wins.
+    """
+    from cffi import FFI
+
+    directory.mkdir(parents=True, exist_ok=True)
+    errors: list[str] = []
+    with tempfile.TemporaryDirectory(prefix=".build-", dir=directory) as tmp:
+        for flags in _FLAG_SETS:
+            ffi = FFI()
+            ffi.cdef(CFFI_CDEF)
+            ffi.set_source(modname, CFFI_SOURCE, extra_compile_args=flags)
+            try:
+                ffi.compile(tmpdir=tmp, verbose=False)
+            except Exception as exc:  # distutils raises several types
+                errors.append(f"{flags}: {type(exc).__name__}: {exc}")
+                continue
+            built = _find_built(Path(tmp), modname)
+            if built is not None:
+                target = directory / built.name
+                os.replace(built, target)
+                return target
+    raise RuntimeError("cffi backend build failed: " + "; ".join(errors))
+
+
 def _build() -> Any:
     """Compile (or dlopen the cached) shared object; returns the module."""
     global _loaded
@@ -183,28 +217,7 @@ def _build() -> Any:
         return _loaded
     modname = _module_name()
     directory = cache_dir()
-    built = _find_built(directory, modname)
-    if built is None:
-        from cffi import FFI
-
-        directory.mkdir(parents=True, exist_ok=True)
-        errors: list[str] = []
-        for flags in _FLAG_SETS:
-            ffi = FFI()
-            ffi.cdef(CFFI_CDEF)
-            ffi.set_source(modname, CFFI_SOURCE, extra_compile_args=flags)
-            try:
-                ffi.compile(tmpdir=str(directory), verbose=False)
-            except Exception as exc:  # distutils raises several types
-                errors.append(f"{flags}: {type(exc).__name__}: {exc}")
-                continue
-            built = _find_built(directory, modname)
-            if built is not None:
-                break
-        if built is None:
-            raise RuntimeError(
-                "cffi backend build failed: " + "; ".join(errors)
-            )
+    built = _find_built(directory, modname) or _compile(directory, modname)
     _loaded = _load_module(built, modname)
     return _loaded
 

@@ -1,39 +1,33 @@
 """Kernel-backend registry: who executes the packed hot loops.
 
-PR 5 made the packed-word path the default *strategy*; this module makes
-the *implementation* of its three hot loops -- :func:`~repro.core.bitops.
-pack_bits`, the popcount-reduce GEMM, and the packed conv window gather
--- selectable.  A :class:`Backend` descriptor names one implementation
-tier and advertises which loops it accelerates via capability flags;
-the registry auto-detects what this interpreter can run (numba first,
-then cffi, with the pure-numpy reference always available and always
-correct) and every kernel call site resolves its backend through one
-precedence chain:
-
-    call kwarg  >  :func:`set_backend`  >  ``REPRO_BACKEND``  >  auto
+The packed strategy has three hot loops -- :func:`~repro.core.bitops.
+pack_bits`, the popcount-reduce GEMM, and the packed conv window gather.
+A :class:`Backend` descriptor names one implementation tier and
+advertises which loops it accelerates via capability flags.  Two tiers
+ship: ``cffi`` (ahead-of-time C, used whenever its kernels load) and
+``numpy`` (the vectorized reference, always available and always
+correct).  Selection has one seam: the per-call ``backend=`` kwarg of
+``apmm``/``apconv``/``packed_matmul``/``pack_operand``; ``None`` means
+:func:`get_backend`, the highest-priority usable backend.
 
 Compiled backends are *optional acceleration*, never a semantic change:
 each compiled kernel is byte-identical to the numpy path (enforced by
 the hypothesis suite and the ``repro.bench`` byte-identity oracle), and
-any load/build failure degrades to numpy with a single warning instead
-of an error.  Only an *explicit* request for an unusable backend
-(``set_backend``/call kwarg) raises.
+a load/build failure degrades auto-detection to numpy with a single
+warning instead of an error.  Only an *explicit* ``backend=`` request
+for an unusable backend raises.
 
 The registry is also the single source of truth for kernel *strategy*
-validation: :func:`resolve_dispatch` replaces the previously duplicated
-``strategy`` checks in ``apmm``/``apconv`` with one check that
-enumerates the valid ``(strategy, backend)`` combinations uniformly,
-and keeps old-style backend-name strings passed as ``strategy=``
-working through a once-warning deprecation shim.
+validation: :func:`resolve_dispatch` is the one check ``apmm`` and
+``apconv`` share, and its errors enumerate the valid
+``(strategy, backend)`` combinations.
 """
 
 from __future__ import annotations
 
-import os
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Callable, Mapping
 
 __all__ = [
     "CAPABILITIES",
@@ -42,8 +36,6 @@ __all__ = [
     "available_backends",
     "backend_names",
     "get_backend",
-    "set_backend",
-    "use_backend",
     "resolve_backend",
     "kernel",
     "resolve_dispatch",
@@ -65,9 +57,6 @@ CAPABILITIES = ("pack_bits", "packed_gemm", "conv_gather")
 #: ``"bitserial"`` are numpy reference paths by definition.
 STRATEGIES = ("packed", "integer", "bitserial")
 
-#: Environment override, lowest-priority explicit selection.
-_ENV_VAR = "REPRO_BACKEND"
-
 
 @dataclass(frozen=True)
 class Backend:
@@ -76,10 +65,7 @@ class Backend:
     Attributes
     ----------
     name:
-        Registry key (``"numpy"``, ``"cffi"``, ``"numba"``).
-    kind:
-        Implementation family: ``"python"`` (vectorized numpy),
-        ``"native"`` (ahead-of-time C via cffi), ``"jit"`` (numba).
+        Registry key (``"numpy"``, ``"cffi"``).
     compiled:
         Whether kernels run outside the numpy interpreter loop.
     priority:
@@ -90,13 +76,12 @@ class Backend:
         vectorized code when :func:`kernel` returns ``None``).
     loader:
         Zero-arg callable returning the capability -> kernel mapping;
-        ``None`` for the numpy reference tier.  Loading is lazy (a cffi
+        ``None`` for the numpy reference tier.  Loading is lazy (the cffi
         backend compiles its shared object on first use, disk-cached)
         and failure marks the backend unusable rather than raising.
     """
 
     name: str
-    kind: str
     compiled: bool
     priority: int
     capabilities: frozenset[str]
@@ -109,18 +94,15 @@ _REGISTRY: dict[str, Backend] = {}
 #: Lazily loaded kernel tables; a ``None`` value marks a backend whose
 #: loader raised (unusable until the process restarts).
 _KERNELS: dict[str, Mapping[str, Callable[..., Any]] | None] = {}
-#: Process-wide selection installed by :func:`set_backend` (None = defer
-#: to the environment / auto-detection).
-_ACTIVE: list[str | None] = [None]
 #: Warn-once bookkeeping (degradations should not spam per kernel call).
 _WARNED: set[str] = set()
 
 
-def _warn_once(key: str, message: str, category: type[Warning] = RuntimeWarning) -> None:
+def _warn_once(key: str, message: str) -> None:
     if key in _WARNED:
         return
     _WARNED.add(key)
-    warnings.warn(message, category, stacklevel=3)
+    warnings.warn(message, RuntimeWarning, stacklevel=3)
 
 
 def register_backend(backend: Backend) -> None:
@@ -136,14 +118,6 @@ def register_backend(backend: Backend) -> None:
     _REGISTRY[backend.name] = backend
 
 
-def backend_names() -> tuple[str, ...]:
-    """Registered backend names, highest detection priority first."""
-    return tuple(
-        b.name
-        for b in sorted(_REGISTRY.values(), key=lambda b: -b.priority)
-    )
-
-
 def available_backends() -> tuple[Backend, ...]:
     """Registered backends, highest detection priority first.
 
@@ -154,6 +128,11 @@ def available_backends() -> tuple[Backend, ...]:
     return tuple(
         sorted(_REGISTRY.values(), key=lambda b: -b.priority)
     )
+
+
+def backend_names() -> tuple[str, ...]:
+    """Registered backend names, highest detection priority first."""
+    return tuple(b.name for b in available_backends())
 
 
 def _kernels_for(backend: Backend) -> Mapping[str, Callable[..., Any]] | None:
@@ -198,14 +177,26 @@ def _usable(backend: Backend) -> bool:
     return _kernels_for(backend) is not None
 
 
+def get_backend() -> Backend:
+    """The auto-detected backend: the highest-priority usable one.
+
+    A compiled backend whose loader fails warns once and is skipped, so
+    a broken toolchain degrades to numpy instead of crashing.
+    """
+    for backend in available_backends():
+        if _usable(backend):
+            return backend
+    raise RuntimeError("no usable kernel backend registered")  # unreachable
+
+
 def resolve_backend(choice: "str | Backend | None" = None) -> Backend:
     """Resolve a per-call backend choice to a usable :class:`Backend`.
 
-    ``None`` defers to the process-wide selection (:func:`get_backend`).
-    An explicit name must name a registered, usable backend; unknown
-    names raise with the full registry enumerated, and a registered but
-    unusable backend raises rather than silently degrading (the caller
-    asked for it by name).
+    ``None`` means auto-detection (:func:`get_backend`).  An explicit
+    name must name a registered, usable backend; unknown names raise
+    with the full registry enumerated, and a registered but unusable
+    backend raises rather than silently degrading (the caller asked for
+    it by name).
     """
     if choice is None:
         return get_backend()
@@ -225,74 +216,6 @@ def resolve_backend(choice: "str | Backend | None" = None) -> Backend:
             "or fix the toolchain"
         )
     return backend
-
-
-def get_backend() -> Backend:
-    """The process-wide active backend.
-
-    Precedence: :func:`set_backend` > ``REPRO_BACKEND`` > auto-detection
-    (highest-priority usable backend).  An unknown or unusable
-    environment override warns once and degrades -- the environment is
-    configuration, not code, so it must not turn a working deployment
-    into a crash loop.
-    """
-    if _ACTIVE[0] is not None:
-        backend = _REGISTRY[_ACTIVE[0]]
-        if _usable(backend):
-            return backend
-        # set_backend validated usability at call time; a later load
-        # failure (cache evicted mid-process) still degrades gracefully.
-        _warn_once(
-            f"active-degraded:{backend.name}",
-            f"active backend {backend.name!r} became unusable; "
-            "degrading to auto-detection",
-        )
-    env = os.environ.get(_ENV_VAR)
-    if env:
-        backend = _REGISTRY.get(env)
-        if backend is None:
-            _warn_once(
-                f"env-unknown:{env}",
-                f"{_ENV_VAR}={env!r} names no registered backend "
-                f"({'/'.join(backend_names())}); using auto-detection",
-            )
-        elif not _usable(backend):
-            _warn_once(
-                f"env-unusable:{env}",
-                f"{_ENV_VAR}={env!r} is registered but failed to load; "
-                "using auto-detection",
-            )
-        else:
-            return backend
-    for backend in available_backends():
-        if _usable(backend):
-            return backend
-    raise RuntimeError("no usable kernel backend registered")  # unreachable
-
-
-def set_backend(name: str | None) -> Backend:
-    """Install a process-wide backend selection (``None`` resets to auto).
-
-    Unlike the environment override, an explicit ``set_backend`` of an
-    unknown or unusable backend raises.
-    """
-    if name is None:
-        _ACTIVE[0] = None
-        return get_backend()
-    backend = resolve_backend(name)
-    _ACTIVE[0] = backend.name
-    return backend
-
-
-@contextmanager
-def use_backend(name: str) -> Iterator[Backend]:
-    """Scoped :func:`set_backend`: restores the previous selection."""
-    previous = _ACTIVE[0]
-    backend = set_backend(name)
-    try:
-        yield backend
-    finally:
-        _ACTIVE[0] = previous
 
 
 def kernel(
@@ -337,33 +260,12 @@ def resolve_dispatch(
     """Validate one ``(strategy, backend)`` request; the single check
     both ``apmm`` and ``apconv`` route through.
 
-    * ``strategy`` must be one of :data:`STRATEGIES` -- except that a
-      registered *backend* name passed as ``strategy=`` (the pre-registry
-      calling convention) maps onto ``("packed", that backend)`` with a
-      once-per-process :class:`DeprecationWarning`;
+    * ``strategy`` must be one of :data:`STRATEGIES`;
     * the reference strategies (``integer``/``bitserial``) only combine
       with the numpy backend -- they exist to be the backend-free oracle;
     * errors enumerate the valid combinations uniformly.
     """
     if strategy not in STRATEGIES:
-        shim = _REGISTRY.get(strategy)
-        if shim is not None:
-            _warn_once(
-                f"strategy-shim:{strategy}",
-                f"passing backend name {strategy!r} as strategy= is "
-                f"deprecated; use strategy='packed', backend={strategy!r}",
-                DeprecationWarning,
-            )
-            if backend is not None:
-                resolved = resolve_backend(backend)
-                if resolved.name != shim.name:
-                    raise ValueError(
-                        f"{kernel_name}: strategy={strategy!r} (legacy "
-                        f"backend name) conflicts with backend="
-                        f"{resolved.name!r}; valid combinations: "
-                        f"{valid_combinations()}"
-                    )
-            return "packed", resolve_backend(shim.name)
         raise ValueError(
             f"{kernel_name}: unknown strategy {strategy!r}; valid "
             f"(strategy, backend) combinations: {valid_combinations()}"
@@ -385,12 +287,6 @@ def resolve_dispatch(
 # ----------------------------------------------------------------------
 # registration / auto-detection (import time: cheap probes only)
 # ----------------------------------------------------------------------
-def _load_numba():
-    from . import _backend_numba
-
-    return _backend_numba.kernels()
-
-
 def _load_cffi():
     from . import _backend_cffi
 
@@ -410,30 +306,16 @@ def _probe(module: str) -> bool:
 register_backend(
     Backend(
         name="numpy",
-        kind="python",
         compiled=False,
         priority=10,
         capabilities=frozenset(),
     )
 )
 
-if _probe("numba"):
-    register_backend(
-        Backend(
-            name="numba",
-            kind="jit",
-            compiled=True,
-            priority=30,
-            capabilities=frozenset(CAPABILITIES),
-            loader=_load_numba,
-        )
-    )
-
 if _probe("cffi"):
     register_backend(
         Backend(
             name="cffi",
-            kind="native",
             compiled=True,
             priority=20,
             capabilities=frozenset(CAPABILITIES),

@@ -218,18 +218,18 @@ def packed_matmul_planes(
 ) -> np.ndarray:
     """The ``bmma`` engine on already-packed operands.
 
-    On the numpy backend this issues one whole-matrix
-    :func:`~repro.tensorcore.bmma.bmma_batched` over the virtual batched
-    operands (every ``(s, t)`` plane pair at once, the simulator
-    analogue of the paper's batch-based BMMA), then applies the operator
-    plan's affine correction and the shifted-add combination.  A
-    compiled backend with the ``packed_gemm`` capability instead runs
+    A compiled backend with the ``packed_gemm`` capability (cffi) runs
     the *fused weighted* popcount GEMM -- the shift weights folded into
     the accumulation, so the ``(p, q, M, N)`` int64 plane intermediate
     (the dominant cost of the numpy path at bench shapes) is never
     materialized -- and finishes with the same fold epilogue the
-    ``fold`` engine uses.  Exact in int64 either way; outputs are
-    byte-identical across backends.
+    ``fold`` engine uses.  Without one (numpy), this issues one
+    whole-matrix :func:`~repro.tensorcore.bmma.bmma_batched` over the
+    virtual batched operands (every ``(s, t)`` plane pair at once, the
+    simulator analogue of the paper's batch-based BMMA), then applies
+    the operator plan's affine correction and the shifted-add
+    combination.  Exact in int64 either way; outputs are byte-identical
+    across backends.
     """
     from ..tensorcore.bmma import (  # core must stay importable without
         # tensorcore at module-import time (layering: tensorcore sits
@@ -286,8 +286,7 @@ def packed_matmul_planes(
             _check_overflow(out)
         return out
     batched = bmma_batched(
-        w_packed.batched(), x_packed.batched(), plan.op,
-        counters=counters, backend=backend,
+        w_packed.batched(), x_packed.batched(), plan.op, counters=counters
     )
     # (p*M, q*N) -> (p, q, M, N), then the shared correction/combination
     popc = batched.reshape(p, m, q, n).transpose(0, 2, 1, 3)
@@ -379,7 +378,7 @@ def packed_matmul(
     virtual batched BMMA (:func:`repro.perf.cost.gemm_cost`).
 
     ``backend`` picks the kernel backend for the ``bmma`` engine's hot
-    loops (:mod:`repro.core.backends`; ``None`` means the active
+    loops (:mod:`repro.core.backends`; ``None`` means the auto-detected
     backend).  The ``fold`` engine is a BLAS call and ignores it --
     engine selection stays orthogonal to backend selection.
     """

@@ -102,11 +102,11 @@ def apmm(
         (plane-wise Tensor-Core reference); identical outputs.
     backend:
         Kernel backend for the packed strategy's hot loops
-        (:mod:`repro.core.backends`); ``None`` resolves through the
-        process-wide precedence chain.  The reference strategies only
-        combine with ``"numpy"``; :func:`~repro.core.backends.
-        resolve_dispatch` validates the pair and enumerates the valid
-        combinations on error.
+        (:mod:`repro.core.backends`); ``None`` means the auto-detected
+        backend (cffi when it loads, else numpy).  The reference
+        strategies only combine with ``"numpy"``; :func:`~repro.core.
+        backends.resolve_dispatch` validates the pair and enumerates the
+        valid combinations on error.
     out_quantizer:
         Optional fused re-quantization to an arbitrary-precision output
         (section 4.1b); the cost then writes ``q_out``-bit packed data.

@@ -6,14 +6,14 @@ sizes) and asserts the compiled kernels produce **byte-identical**
 results to the numpy paths for all three accelerated hot loops --
 ``pack_bits``, the fused popcount-reduce GEMM, and the full conv entry
 point (which exercises the packed window gather where the dispatch
-heuristic prefers it).  Also covers forced fallback: ``REPRO_BACKEND=
-numpy`` and a loader import failure must both run the numpy path
-cleanly, with zero compiled-kernel counter ticks.
+heuristic prefers it).  Also covers forced fallback: ``backend="numpy"``
+and a loader import failure must both run the numpy path cleanly, with
+zero compiled-kernel counter ticks.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import PrecisionPair, backends
@@ -100,9 +100,12 @@ class TestConvIdentity:
     @given(seed=seeds, pair=st.sampled_from(PAIRS),
            stride=st.sampled_from([1, 2]),
            padding=st.sampled_from([0, 1]),
-           cin=st.sampled_from([1, 3, 8]),
+           cin=st.sampled_from([1, 3, 8, 65, 130]),
            hw=st.sampled_from([4, 7]),
            backend=st.sampled_from(COMPILED or ["numpy"]))
+    # always drive the gather with ceil(C_in / 64) > 1 channel words
+    @example(seed=0, pair=PAIRS[1], stride=1, padding=1, cin=130, hw=7,
+             backend=(COMPILED or ["numpy"])[0])
     def test_apconv_identical_across_backends(
         self, seed, pair, stride, padding, cin, hw, backend
     ):
@@ -121,24 +124,20 @@ class TestConvIdentity:
 class TestForcedFallback:
     """The numpy path must stay reachable no matter what is installed."""
 
-    @pytest.fixture(autouse=True)
-    def _restore_selection(self):
-        saved = backends._ACTIVE[0]
-        yield
-        backends._ACTIVE[0] = saved
-
-    def test_env_numpy_forces_the_numpy_path(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "numpy")
-        backends._ACTIVE[0] = None
-        assert backends.get_backend().name == "numpy"
-
+    def test_numpy_kwarg_forces_the_numpy_path(self):
+        from repro.kernels.apconv import apconv
         from repro.kernels.apmm import apmm
 
-        pair = PrecisionPair.parse("w2a2")
+        pair = PrecisionPair.parse("w1a2")
         rng = np.random.default_rng(0)
         w = pair.weight.random_digits(rng, (8, 96))
         x = pair.activation.random_digits(rng, (6, 96))
-        result = apmm(w, x, pair.weight, pair.activation)
+        result = apmm(w, x, pair.weight, pair.activation, backend="numpy")
+        assert result.cost.counters.compiled_kernels == 0
+        # p*q <= 4: the conv the auto-detected backend would gather
+        w = pair.weight.random_digits(rng, (4, 8, 3, 3))
+        x = pair.activation.random_digits(rng, (2, 8, 6, 6))
+        result = apconv(w, x, pair.weight, pair.activation, backend="numpy")
         assert result.cost.counters.compiled_kernels == 0
 
     def test_loader_import_failure_degrades_to_numpy(self, monkeypatch):
@@ -156,11 +155,10 @@ class TestForcedFallback:
         monkeypatch.setattr(backends, "_WARNED", set())
         for broken in compiled:
             backends._REGISTRY[broken.name] = backends.Backend(
-                name=broken.name, kind=broken.kind, compiled=True,
+                name=broken.name, compiled=True,
                 priority=broken.priority, capabilities=broken.capabilities,
                 loader=exploding_loader,
             )
-        backends._ACTIVE[0] = None
         with pytest.warns(RuntimeWarning, match="failed to load"):
             active = backends.get_backend()
         assert active.name == "numpy"

@@ -1,16 +1,20 @@
-"""The kernel-backend registry: selection precedence, degradation, dispatch.
+"""The kernel-backend registry: selection, degradation, dispatch.
 
 These tests exercise :mod:`repro.core.backends` semantics with throwaway
-fake backends so they pass identically whether or not numba/cffi are
-importable in this interpreter: precedence (call kwarg > ``set_backend``
-> ``REPRO_BACKEND`` > auto-detection), warn-once degradation for broken
-environments and loaders, hard errors for *explicit* requests of broken
-backends, and the registry-driven ``(strategy, backend)`` validation that
-``apmm``/``apconv`` share -- including the legacy backend-name-as-strategy
-deprecation shim.
+fake backends so they pass identically whether or not cffi is importable
+in this interpreter: the per-call ``backend=`` kwarg over auto-detection,
+warn-once degradation for broken loaders, hard errors for *explicit*
+requests of broken backends, and the registry-driven ``(strategy,
+backend)`` validation that ``apmm``/``apconv`` share.  The last class
+builds the real cffi module from several cold processes at once.
 """
 
+import os
+import shutil
+import subprocess
+import sys
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
@@ -25,8 +29,6 @@ from repro.core.backends import (
     register_backend,
     resolve_backend,
     resolve_dispatch,
-    set_backend,
-    use_backend,
     valid_combinations,
 )
 
@@ -40,7 +42,7 @@ def temp_backend(name, *, priority=99, loader=_dummy_table,
                  capabilities=CAPABILITIES, compiled=True):
     """Register a throwaway backend; always deregistered on exit."""
     register_backend(Backend(
-        name=name, kind="test", compiled=compiled, priority=priority,
+        name=name, compiled=compiled, priority=priority,
         capabilities=frozenset(capabilities), loader=loader,
     ))
     try:
@@ -51,13 +53,10 @@ def temp_backend(name, *, priority=99, loader=_dummy_table,
 
 
 @pytest.fixture(autouse=True)
-def _restore_selection_state(monkeypatch):
-    """Isolate process-wide selection + warn-once state per test."""
-    monkeypatch.delenv("REPRO_BACKEND", raising=False)
-    saved_active = backends._ACTIVE[0]
+def _restore_warned_state():
+    """Isolate the warn-once bookkeeping per test."""
     saved_warned = set(backends._WARNED)
     yield
-    backends._ACTIVE[0] = saved_active
     backends._WARNED.clear()
     backends._WARNED.update(saved_warned)
 
@@ -78,14 +77,14 @@ class TestRegistry:
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
             register_backend(Backend(
-                name="numpy", kind="python", compiled=False, priority=1,
+                name="numpy", compiled=False, priority=1,
                 capabilities=frozenset(),
             ))
 
     def test_unknown_capability_rejected(self):
         with pytest.raises(ValueError, match="unknown capabilities"):
             register_backend(Backend(
-                name="zz-bogus-caps", kind="test", compiled=True,
+                name="zz-bogus-caps", compiled=True,
                 priority=1, capabilities=frozenset({"warp_shuffle"}),
             ))
         assert "zz-bogus-caps" not in backend_names()
@@ -96,69 +95,29 @@ class TestPrecedence:
         with temp_backend("zz-high", priority=99):
             assert get_backend().name == "zz-high"
 
-    def test_env_override_beats_auto_detection(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "numpy")
-        with temp_backend("zz-high", priority=99):
-            assert get_backend().name == "numpy"
-
-    def test_set_backend_beats_env(self, monkeypatch):
-        with temp_backend("zz-high", priority=99):
-            monkeypatch.setenv("REPRO_BACKEND", "numpy")
-            set_backend("zz-high")
-            assert get_backend().name == "zz-high"
-            set_backend(None)
-            assert get_backend().name == "numpy"
-
     def test_call_kwarg_beats_everything(self):
         with temp_backend("zz-high", priority=99):
-            set_backend("zz-high")
+            assert resolve_backend(None).name == "zz-high"
             assert resolve_backend("numpy").name == "numpy"
-
-    def test_use_backend_restores_previous_selection(self):
-        set_backend("numpy")
-        with temp_backend("zz-high", priority=99):
-            with use_backend("zz-high") as b:
-                assert b.name == "zz-high"
-                assert get_backend().name == "zz-high"
-            assert get_backend().name == "numpy"
-
-    def test_use_backend_restores_on_exception(self):
-        set_backend("numpy")
-        with temp_backend("zz-high", priority=99):
-            with pytest.raises(RuntimeError, match="boom"):
-                with use_backend("zz-high"):
-                    raise RuntimeError("boom")
-            assert get_backend().name == "numpy"
 
 
 class TestDegradation:
-    """The environment and auto-detection degrade; explicit requests raise."""
+    """Auto-detection degrades; explicit requests raise."""
 
     def _broken_loader(self):
         raise OSError("no C compiler")
-
-    def test_unknown_env_backend_warns_once_and_degrades(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "zz-nonexistent")
-        with pytest.warns(RuntimeWarning, match="names no registered"):
-            first = get_backend()
-        assert first.name in backend_names()
-        # warn-once: the second resolution is silent
-        import warnings as _w
-        with _w.catch_warnings():
-            _w.simplefilter("error")
-            assert get_backend().name == first.name
-
-    def test_unusable_env_backend_warns_and_degrades(self, monkeypatch):
-        with temp_backend("zz-broken", loader=self._broken_loader):
-            monkeypatch.setenv("REPRO_BACKEND", "zz-broken")
-            with pytest.warns(RuntimeWarning):
-                assert get_backend().name != "zz-broken"
 
     def test_auto_detection_skips_backend_whose_loader_raises(self):
         with temp_backend("zz-broken", priority=99,
                           loader=self._broken_loader):
             with pytest.warns(RuntimeWarning, match="failed to load"):
-                assert get_backend().name != "zz-broken"
+                first = get_backend()
+            assert first.name != "zz-broken"
+            # warn-once: the second resolution is silent
+            import warnings as _w
+            with _w.catch_warnings():
+                _w.simplefilter("error")
+                assert get_backend().name == first.name
 
     def test_explicit_request_of_broken_backend_raises(self):
         with temp_backend("zz-broken", loader=self._broken_loader):
@@ -166,8 +125,6 @@ class TestDegradation:
                 backends._kernels_for(backends._REGISTRY["zz-broken"])
             with pytest.raises(RuntimeError, match="failed to load"):
                 resolve_backend("zz-broken")
-            with pytest.raises(RuntimeError, match="failed to load"):
-                set_backend("zz-broken")
 
     def test_unknown_backend_name_enumerates_registry(self):
         with pytest.raises(ValueError, match="registered backends"):
@@ -220,22 +177,12 @@ class TestResolveDispatch:
         assert msg.startswith("apconv: unknown strategy")
         assert valid_combinations() in msg
 
-    def test_legacy_backend_name_as_strategy_warns_and_maps(self):
+    def test_backend_name_as_strategy_is_rejected(self):
         with temp_backend("zz-high", priority=99):
-            with pytest.warns(DeprecationWarning, match="deprecated"):
-                strategy, b = resolve_dispatch("zz-high")
-            assert (strategy, b.name) == ("packed", "zz-high")
-            # once per process: the second use is silent
-            import warnings as _w
-            with _w.catch_warnings():
-                _w.simplefilter("error")
-                assert resolve_dispatch("zz-high")[1].name == "zz-high"
-
-    def test_legacy_shim_conflicting_backend_kwarg_raises(self):
-        with temp_backend("zz-high", priority=99):
-            backends._WARNED.add("strategy-shim:zz-high")  # silence the shim
-            with pytest.raises(ValueError, match="conflicts with backend"):
-                resolve_dispatch("zz-high", "numpy")
+            for name in backend_names():
+                with pytest.raises(ValueError) as exc:
+                    resolve_dispatch(name, kernel_name="apmm")
+                assert valid_combinations() in str(exc.value)
 
     def test_packed_resolves_through_backend_precedence(self):
         with temp_backend("zz-high", priority=99):
@@ -245,3 +192,47 @@ class TestResolveDispatch:
 
     def test_strategies_tuple_is_the_public_contract(self):
         assert STRATEGIES == ("packed", "integer", "bitserial")
+
+
+def _c_compiler() -> bool:
+    return any(shutil.which(cc) for cc in ("cc", "gcc", "clang"))
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(
+    "cffi" not in backend_names() or not _c_compiler(),
+    reason="needs cffi and a C compiler",
+)
+class TestCffiColdBuild:
+    """Processes that find the cffi cache empty at the same moment must
+    all end up on cffi: none may dlopen a peer's half-written object."""
+
+    PROCS = 4
+    PROBE = (
+        "from repro.core import backends; "
+        "backends.kernel('packed_gemm'); "
+        "print(backends.get_backend().name)"
+    )
+
+    def test_concurrent_cold_builds_all_load_cffi(self, tmp_path):
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(src), env.get("PYTHONPATH")) if p
+        )
+        env["REPRO_CFFI_CACHE"] = str(tmp_path / "cffi")
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-c", self.PROBE], env=env,
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            )
+            for _ in range(self.PROCS)
+        ]
+        results = [p.communicate(timeout=300) for p in procs]
+        for proc, (out, err) in zip(procs, results):
+            assert proc.returncode == 0, err
+            assert out.strip() == "cffi", err
+            assert "failed to load" not in err
+        # only finished objects were published; no build scratch remains
+        leftovers = sorted(p.name for p in (tmp_path / "cffi").iterdir())
+        assert leftovers and all(n.endswith(".so") for n in leftovers)
