@@ -64,9 +64,16 @@ void repro_pack_bits(const uint8_t *bits, int64_t rows, int64_t k,
     for (int64_t r = 0; r < rows; r++) {
         const uint8_t *row = bits + r * k;
         uint64_t *orow = out + r * nwords;
-        memset(orow, 0, (size_t)nwords * sizeof(uint64_t));
-        for (int64_t i = 0; i < k; i++) {
-            orow[i >> 6] |= ((uint64_t)(row[i] & 1)) << (i & 63);
+        for (int64_t w = 0; w < nwords; w++) {
+            /* one register accumulator per word: no read-modify-write
+               chain through memory */
+            const uint8_t *src = row + w * 64;
+            int64_t n = k - w * 64 < 64 ? k - w * 64 : 64;
+            uint64_t acc = 0;
+            for (int64_t i = 0; i < n; i++) {
+                acc |= ((uint64_t)(src[i] & 1)) << i;
+            }
+            orow[w] = acc;
         }
     }
 }

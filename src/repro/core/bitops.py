@@ -67,6 +67,27 @@ def bit_decompose(x: np.ndarray, bits: int) -> np.ndarray:
     return ((x[None, ...] >> shifts) & 1).astype(np.uint8)
 
 
+def _decompose(x: np.ndarray, bits: int) -> np.ndarray:
+    """The packed kernels' :func:`bit_decompose`: no range scan (their
+    callers range-check the digits once) and narrow lanes.
+
+    :func:`bit_decompose` stays the plain formulation the reference
+    paths time against; ``tests/core/test_bitops.py`` holds the two
+    byte-identical.
+    """
+    if not np.issubdtype(x.dtype, np.integer):
+        raise TypeError(f"bit_decompose requires integer input, got {x.dtype}")
+    if bits <= 16:
+        # in-range digits fit a narrow lane: shift 1- or 2-byte lanes
+        x = x.astype(np.uint8 if bits <= 8 else np.uint16)
+    # one plane at a time, in place: a broadcast shift over all planes
+    # is over 2x slower
+    planes = np.empty((bits,) + x.shape, dtype=np.uint8)
+    for s in range(bits):
+        np.bitwise_and(x >> s, 1, out=planes[s, ...], casting="unsafe")
+    return planes
+
+
 def bit_combine(planes: np.ndarray) -> np.ndarray:
     """Inverse of :func:`bit_decompose`: ``sum_s planes[s] << s``.
 

@@ -30,24 +30,39 @@ both byte-identical to the reference (and to the tile-level oracle
   Exactness holds while every partial sum fits the float mantissa; the
   bound is checked and the engine refuses otherwise.
 
-``engine="auto"`` (the default everywhere) picks ``fold`` whenever its
-exactness bound holds -- in practice always for the paper's precisions --
-and falls back to ``bmma``.  Both engines run the identical affine
-correction/combination algebra, so outputs match the reference bit for
-bit; the hypothesis suite in ``tests/core/test_packed.py`` enforces this
-across precision pairs, encodings, and ragged (non-multiple-of-64)
-reduction lengths.
+Static weights are validated and packed once.  A weight array that can
+never change (:func:`weights_frozen` -- the quantizers in
+:mod:`repro.core.quantize` return such digits) has its packed words
+memoized on first use, so later calls do only activation-side work:
+range-check, decompose and pack ``X``, then one fused popcount GEMM.
+
+``engine="auto"`` (the default everywhere) picks ``bmma`` on those
+prepared words when :func:`packed_preferred` says the fused popcount GEMM
+wins; otherwise ``fold`` whenever its exactness bound holds -- in
+practice always for the paper's precisions -- falling back to ``bmma``.
+Writable weights never take the prepared route.  Both engines run the
+identical affine correction/combination algebra, so outputs match the
+reference bit for bit; the hypothesis suites in
+``tests/core/test_packed.py`` and ``tests/core/test_prepared.py``
+enforce this across precision pairs, encodings, and ragged
+(non-multiple-of-64) reduction lengths.
 """
 
 from __future__ import annotations
 
+import functools
+import threading
+import weakref
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
 from . import backends
 from .bitops import (
     WORD_BITS,
+    _decompose,
     bit_decompose,
     pack_bits,
     packed_words,
@@ -59,11 +74,17 @@ from .types import Precision
 
 __all__ = [
     "PACKED_ENGINES",
+    "PACKED_PQ_THRESHOLD",
     "PackedOperand",
+    "auto_engine",
     "pack_operand",
     "packed_matmul",
     "packed_matmul_planes",
+    "packed_preferred",
+    "prepared_weight_stats",
+    "prepared_weights",
     "fold_exactness_bound",
+    "weights_frozen",
 ]
 
 #: Engines of :func:`packed_matmul` (``auto`` resolves per problem).
@@ -74,6 +95,18 @@ PACKED_ENGINES = ("auto", "bmma", "fold")
 _FLOAT64_EXACT = 1 << 53
 
 _FLOAT32_EXACT = 1 << 24
+
+#: Plane-pair count (``p * q``) at or below which the fused popcount GEMM
+#: on packed words beats the fold engine's BLAS GEMM.  The fused kernel's
+#: work scales with ``p * q`` sweeps over the packed words while fold is
+#: a single BLAS GEMM regardless of precision.  Measured at bench conv
+#: shapes the crossover sits between 4 (gather 1.7-4.5x faster) and 8
+#: (fold 1.04-1.8x faster): w1a2/w2a2/w1a4 on the popcount side,
+#: w2a4/w4a4/w2a8 on the fold side.  On prepared (static) weights a
+#: GEMV-shaped product such as AlexNet fc7 (4096x4x4096, w1a2) drops
+#: from ~70 ms on fold to ~1 ms; at ``p * q = 4`` with ``N`` in the
+#: thousands fold stays up to 1.5x faster (activation packing dominates).
+PACKED_PQ_THRESHOLD = 4
 
 
 @dataclass(frozen=True)
@@ -136,7 +169,24 @@ def pack_operand(
     digits = np.asarray(digits)
     if digits.ndim != 2:
         raise ValueError(f"digits must be 2-D, got shape {digits.shape}")
-    planes = bit_decompose(digits, precision.bits)
+    return _pack_planes(
+        bit_decompose(digits, precision.bits), precision, backend, counters
+    )
+
+
+def _pack_checked(
+    digits: np.ndarray, precision: Precision, backend, counters
+) -> PackedOperand:
+    """:func:`pack_operand` on digits that already passed
+    :func:`_check_digits` -- the range scan is not repeated."""
+    return _pack_planes(
+        _decompose(digits, precision.bits), precision, backend, counters
+    )
+
+
+def _pack_planes(
+    planes: np.ndarray, precision: Precision, backend, counters
+) -> PackedOperand:
     fn = backends.kernel("pack_bits", backend)
     if fn is None:
         words = pack_bits(planes)
@@ -149,7 +199,7 @@ def pack_operand(
             counters.compiled_kernels += 1
     return PackedOperand(
         words=words,
-        k_logical=digits.shape[1],
+        k_logical=planes.shape[2],
         precision=precision,
     )
 
@@ -171,6 +221,158 @@ def _check_digits(digits: np.ndarray, precision: Precision, name: str) -> None:
             f"{name} digits out of range for {precision.bits}-bit precision: "
             f"[{digits.min()}, {digits.max()}]"
         )
+
+
+def packed_preferred(
+    weight: Precision,
+    feature: Precision,
+    k: int,
+    backend: "backends.Backend | str | None" = None,
+) -> bool:
+    """Whether the fused popcount GEMM should run instead of fold.
+
+    The one dispatch rule of both kernels: :func:`auto_engine` asks it
+    before using prepared weights, and APConv before its packed window
+    gather.  True when the backend provides ``packed_gemm`` *and* the
+    route is expected to win: either ``p * q`` is at most
+    :data:`PACKED_PQ_THRESHOLD`, or the fold engine's exactness bound
+    fails for this ``k`` (the alternative would then be the far slower
+    plane-pair numpy bmma path).
+    """
+    if backends.kernel("packed_gemm", backend) is None:
+        return False
+    if weight.bits * feature.bits <= PACKED_PQ_THRESHOLD:
+        return True
+    return fold_exactness_bound(k, weight.bits, feature.bits) >= _FLOAT64_EXACT
+
+
+def weights_frozen(digits: Any) -> bool:
+    """Whether ``digits`` can never change, so its packed form may be kept.
+
+    True for an integer array that is read-only and is a view whose
+    every base is a read-only array -- an array whose own flag is the
+    only guard does not qualify, since anyone holding it may flip the
+    flag back.  The quantizers return such digits: a read-only view of
+    a read-only buffer, on which numpy refuses ``flags.writeable =
+    True``.
+    """
+    if not isinstance(digits, np.ndarray) or digits.flags.writeable:
+        return False
+    if digits.dtype.kind not in "iu" or digits.base is None:
+        return False
+    base = digits.base
+    while isinstance(base, np.ndarray):
+        if base.flags.writeable:
+            return False
+        base = base.base
+    # the chain must end at an array that owns its memory, not at a
+    # foreign buffer whose writability numpy does not track
+    return base is None
+
+
+class _WeightMemo:
+    """Prepared (validated, packed) forms of frozen weight arrays.
+
+    Keyed by the identity of the array the caller passed in, through a
+    weakref: an entry is dropped when its array is collected, so a new
+    array at a recycled ``id`` starts cold.  Every lookup re-checks
+    :func:`weights_frozen`.  Builds run outside the lock; two threads on
+    one cold weight build identical words and the first stored wins.
+    """
+
+    def __init__(self) -> None:
+        # re-entrant: a collection inside a locked section can run the
+        # weakref callback, which takes the lock again
+        self._lock = threading.RLock()
+        self._entries: dict[int, tuple[weakref.ref, dict]] = {}
+        self._prepares = 0
+        self._hits = 0
+
+    def get(self, digits: np.ndarray, key: tuple, build: Callable[[], Any]):
+        """The memoized ``build()`` for frozen ``digits``, else ``None``."""
+        if not weights_frozen(digits):
+            return None
+        ident = id(digits)
+        with self._lock:
+            entry = self._entries.get(ident)
+            if entry is not None and entry[0]() is digits and key in entry[1]:
+                self._hits += 1
+                return entry[1][key]
+        value = build()
+        with self._lock:
+            self._prepares += 1
+            entry = self._entries.get(ident)
+            if entry is None or entry[0]() is not digits:
+                ref = weakref.ref(digits, functools.partial(self._drop, ident))
+                entry = (ref, {})
+                self._entries[ident] = entry
+            return entry[1].setdefault(key, value)
+
+    def _drop(self, ident: int, ref: weakref.ref) -> None:
+        with self._lock:
+            entry = self._entries.get(ident)
+            if entry is not None and entry[0] is ref:
+                del self._entries[ident]
+
+    def stats(self) -> dict[str, int]:
+        with self._lock:
+            return {
+                "prepares": self._prepares,
+                "hits": self._hits,
+                "entries": len(self._entries),
+            }
+
+
+_WEIGHT_MEMO = _WeightMemo()
+
+
+def prepared_weights(
+    digits: np.ndarray,
+    precision: Precision,
+    form: str,
+    build: Callable[[np.ndarray], Any],
+):
+    """The weight operand ``build(digits)``, after one range check.
+
+    Frozen arrays (:func:`weights_frozen`) are checked and built on
+    first use and served from the memo afterwards; writable arrays are
+    checked and built on every call.  ``form`` names the layout
+    ``build`` produces (``"gemm"`` or ``"conv"``); it and the
+    precision, shape and dtype key the memo entry.
+    """
+    def prepare():
+        _check_digits(digits, precision, "weight")
+        return build(digits)
+
+    key = (form, precision, digits.shape, digits.dtype.str)
+    value = _WEIGHT_MEMO.get(digits, key, prepare)
+    return prepare() if value is None else value
+
+
+def prepared_weight_stats() -> dict[str, int]:
+    """Process-wide memo counters: ``prepares`` (weight builds made for
+    the memo), ``hits`` (calls it served) and live ``entries``."""
+    return _WEIGHT_MEMO.stats()
+
+
+def auto_engine(
+    w_digits: np.ndarray,
+    weight: Precision,
+    feature: Precision,
+    backend: "backends.Backend | str | None" = None,
+) -> str:
+    """The engine ``engine="auto"`` runs for these weights.
+
+    ``bmma`` on prepared words when the weights are frozen and
+    :func:`packed_preferred` holds; otherwise ``fold`` while its
+    exactness bound holds, else ``bmma``.
+    """
+    k = w_digits.shape[1]
+    if weights_frozen(w_digits) and packed_preferred(weight, feature, k, backend):
+        return "bmma"
+    if fold_exactness_bound(k, weight.bits, feature.bits) < _FLOAT64_EXACT:
+        return "fold"
+    return "bmma"
 
 
 def _check_overflow(out: np.ndarray) -> None:
@@ -379,8 +581,10 @@ def packed_matmul(
 
     ``backend`` picks the kernel backend for the ``bmma`` engine's hot
     loops (:mod:`repro.core.backends`; ``None`` means the auto-detected
-    backend).  The ``fold`` engine is a BLAS call and ignores it --
-    engine selection stays orthogonal to backend selection.
+    backend).  The ``fold`` engine is a BLAS call and ignores it.
+    ``engine="auto"`` resolves through :func:`auto_engine`, which takes
+    the backend into account only for frozen weights.  The ``bmma``
+    engine packs frozen weights once (:func:`prepared_weights`).
     """
     w_digits = np.asarray(w_digits)
     x_digits = np.asarray(x_digits)
@@ -395,38 +599,35 @@ def packed_matmul(
         raise ValueError(
             f"unknown engine {engine!r}; choose from {PACKED_ENGINES}"
         )
-    _check_digits(w_digits, weight, "weight")
-    _check_digits(x_digits, feature, "feature")
-
+    if engine == "auto":
+        engine = auto_engine(w_digits, weight, feature, backend)
     plan = select_operator(weight, feature)
     k = w_digits.shape[1]
-    if engine == "auto":
-        engine = (
-            "fold"
-            if fold_exactness_bound(k, weight.bits, feature.bits)
-            < _FLOAT64_EXACT
-            else "bmma"
+    if engine == "bmma":
+        w_packed = prepared_weights(
+            w_digits, weight, "gemm",
+            lambda d: _pack_checked(d, weight, backend, counters),
         )
-    if engine == "fold":
-        bound = fold_exactness_bound(k, weight.bits, feature.bits)
-        if bound >= _FLOAT64_EXACT:
-            raise ValueError(
-                "fold engine exactness bound exceeded "
-                f"(K={k}, w{weight.bits}a{feature.bits}: partial sums up to "
-                f"{bound} >= 2**53); use engine='bmma'"
-            )
-        out = _packed_matmul_fold(
-            w_digits, x_digits, plan, weight.bits, feature.bits
+        _check_digits(x_digits, feature, "feature")
+        return packed_matmul_planes(
+            w_packed,
+            _pack_checked(x_digits, feature, backend, counters),
+            plan,
+            check_overflow=check_overflow,
+            counters=counters,
+            backend=backend,
         )
-        if check_overflow:
-            _check_overflow(out)
-        return out
 
-    return packed_matmul_planes(
-        pack_operand(w_digits, weight, backend=backend, counters=counters),
-        pack_operand(x_digits, feature, backend=backend, counters=counters),
-        plan,
-        check_overflow=check_overflow,
-        counters=counters,
-        backend=backend,
-    )
+    _check_digits(w_digits, weight, "weight")
+    _check_digits(x_digits, feature, "feature")
+    bound = fold_exactness_bound(k, weight.bits, feature.bits)
+    if bound >= _FLOAT64_EXACT:
+        raise ValueError(
+            "fold engine exactness bound exceeded "
+            f"(K={k}, w{weight.bits}a{feature.bits}: partial sums up to "
+            f"{bound} >= 2**53); use engine='bmma'"
+        )
+    out = _packed_matmul_fold(w_digits, x_digits, plan, weight.bits, feature.bits)
+    if check_overflow:
+        _check_overflow(out)
+    return out

@@ -21,6 +21,12 @@ This module implements:
 All quantizers return *digits* (raw codes) plus the float parameters needed
 to decode, so the integer kernels can run on digits while accuracy
 evaluation can reconstruct real values.
+
+The weight quantizers (:func:`binarize`, :func:`dorefa_quantize_weights`)
+return *frozen* digits: a read-only view of a read-only buffer, on which
+numpy refuses ``flags.writeable = True``.  Weights are static, and the
+kernels (:func:`repro.core.packed.prepared_weights`) validate and pack
+such arrays once instead of on every call.
 """
 
 from __future__ import annotations
@@ -109,6 +115,16 @@ class AffineQuantizer:
         return cls.from_range(lo, hi, bits)
 
 
+def _freeze(digits: np.ndarray) -> np.ndarray:
+    """A read-only view of ``digits``, itself made read-only.
+
+    numpy refuses to make a view writable while its base is read-only,
+    so the returned array can no longer change through itself.
+    """
+    digits.flags.writeable = False
+    return digits.view()
+
+
 def binarize(x: np.ndarray) -> QuantizedTensor:
     """Sign binarization to bipolar digits with mean-|x| scaling.
 
@@ -120,9 +136,8 @@ def binarize(x: np.ndarray) -> QuantizedTensor:
     alpha = float(np.mean(np.abs(x))) if x.size else 1.0
     if alpha == 0.0:
         alpha = 1.0
-    digits = (x >= 0).astype(np.int64)
     return QuantizedTensor(
-        digits=digits,
+        digits=_freeze((x >= 0).astype(np.int64)),
         precision=Precision(1, Encoding.BIPOLAR),
         scale=alpha,
     )
@@ -198,7 +213,8 @@ class QEMQuantizer:
 def dorefa_quantize_weights(w: np.ndarray, bits: int) -> QuantizedTensor:
     """DoReFa-Net weight quantization.
 
-    ``bits == 1`` reduces to sign binarization with mean-|w| scale.  For
+    ``bits == 1`` reduces to sign binarization with mean-|w| scale.  The
+    digits come back frozen (see the module docstring).  For
     ``bits > 1``: ``w' = tanh(w)/(2*max|tanh(w)|) + 1/2`` mapped to the
     unsigned grid, then recentred to a symmetric bipolar-per-plane range.
     We keep the digits unsigned and fold the recentring into
@@ -219,7 +235,7 @@ def dorefa_quantize_weights(w: np.ndarray, bits: int) -> QuantizedTensor:
     # decoded value = 2*(digits/levels) - 1 in [-1, 1]
     scale = 2.0 / levels
     return QuantizedTensor(
-        digits=digits,
+        digits=_freeze(digits),
         precision=Precision(bits, Encoding.UNSIGNED),
         scale=scale,
         offset=-1.0,

@@ -32,7 +32,7 @@ import numpy as np
 
 from ..core import backends
 from ..core.emulate import apbit_matmul, reference_matmul
-from ..core.packed import packed_matmul
+from ..core.packed import auto_engine, packed_matmul, weights_frozen
 from ..core.quantize import AffineQuantizer
 from ..core.types import Precision
 from ..obs import kernel_tracer
@@ -84,8 +84,12 @@ def apconv(
     ``out_quantizer`` re-quantizes for the next layer).  On a backend
     with the ``conv_gather`` capability the packed strategy skips the
     im2col digit-matrix materialization entirely
-    (:mod:`repro.kernels.packed_conv`); outputs are byte-identical
-    either way.
+    (:mod:`repro.kernels.packed_conv`) when
+    :func:`~repro.core.packed.packed_preferred` expects the popcount
+    route to win; outputs are byte-identical either way.  The kernel
+    span's ``route`` is ``gather`` or ``im2col`` and its ``weights`` is
+    ``prepared`` when memoized packed weights were used, else
+    ``per-call``.
     """
     # Kernel-boundary tracing (wall clock; same hook as apmm).
     tracer = kernel_tracer()
@@ -123,16 +127,20 @@ def apconv(
         weight, feature, cin * kh * kw, run_backend
     ):
         # compiled window gather: the im2col digit matrix never exists
+        route, prepared = "gather", weights_frozen(w_digits)
         acc = packed_conv_matmul(
             w_digits, padded, weight, feature,
             stride=stride, counters=run_counters, backend=run_backend,
         )
     else:
+        route, prepared = "im2col", False
         cols = im2col(padded, kh, stride)  # (batch*OH*OW, C_in*kh*kw)
         w_flat = w_digits.reshape(cout, cin * kh * kw)
         if strategy == "packed":
+            engine = auto_engine(w_flat, weight, feature, run_backend)
+            prepared = engine == "bmma" and weights_frozen(w_flat)
             acc = packed_matmul(
-                w_flat, cols, weight, feature,
+                w_flat, cols, weight, feature, engine=engine,
                 backend=run_backend, counters=run_counters,
             )
         elif strategy == "bitserial":
@@ -172,6 +180,7 @@ def apconv(
             cost.name, "kernel", t0_us, time.perf_counter() * 1e6,
             track="wall", lane="apconv",
             strategy=strategy, backend=run_backend.name,
+            route=route, weights="prepared" if prepared else "per-call",
             batch=batch, cin=cin, cout=cout,
             kernel=kh, stride=stride, padding=padding,
             weight_bits=weight.bits, feature_bits=feature.bits,

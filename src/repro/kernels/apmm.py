@@ -13,7 +13,9 @@ Three execution strategies produce bit-identical results:
   (:mod:`repro.core.packed`): bit-planes packed into ``uint64`` words,
   one whole-matrix popcount-reduce GEMM
   (:func:`~repro.tensorcore.bmma.bmma_batched`) with plane-folding when
-  exact -- the fast path every caller takes automatically;
+  exact -- the fast path every caller takes automatically.  Frozen
+  weights (quantizer outputs) are validated and packed once; per call
+  only the features are checked and packed;
 * ``"bitserial"`` -- the plane-wise reference: decompose -> per-plane-pair
   packed-word Boolean GEMM -> shifted-add combination;
 * ``"integer"`` -- reference integer GEMM on the decoded operands.
@@ -39,7 +41,7 @@ import numpy as np
 
 from ..core import backends
 from ..core.emulate import apbit_matmul, reference_matmul
-from ..core.packed import packed_matmul
+from ..core.packed import auto_engine, packed_matmul, weights_frozen
 from ..core.quantize import AffineQuantizer
 from ..core.types import Precision
 from ..obs import kernel_tracer
@@ -112,6 +114,11 @@ def apmm(
         (section 4.1b); the cost then writes ``q_out``-bit packed data.
     batch_planes / double_caching / decompose_input:
         Ablation switches for the paper's design points (default = paper).
+
+    The kernel span records why its path ran: ``route`` is ``popcount``
+    or ``fold`` for the packed strategy (the reference strategy's name
+    otherwise) and ``weights`` is ``prepared`` when memoized packed
+    weights were used, else ``per-call``.
     """
     # Kernel-boundary tracing (wall clock: this really executes).  The
     # default tracer is the shared no-op, so untraced callers pay one
@@ -141,9 +148,13 @@ def apmm(
     config.validate_for_device(device)
 
     run_counters = ExecutionCounters()
+    route, prepared = strategy, False
     if strategy == "packed":
+        engine = auto_engine(w_digits, weight, feature, run_backend)
+        route = "popcount" if engine == "bmma" else "fold"
+        prepared = engine == "bmma" and weights_frozen(w_digits)
         acc = packed_matmul(
-            w_digits, x_digits, weight, feature,
+            w_digits, x_digits, weight, feature, engine=engine,
             backend=run_backend, counters=run_counters,
         )
     elif strategy == "bitserial":
@@ -175,7 +186,9 @@ def apmm(
         tracer.span(
             cost.name, "kernel", t0_us, time.perf_counter() * 1e6,
             track="wall", lane="apmm",
-            strategy=strategy, backend=run_backend.name, m=m, n=n, k=k,
+            strategy=strategy, backend=run_backend.name,
+            route=route, weights="prepared" if prepared else "per-call",
+            m=m, n=n, k=k,
             weight_bits=weight.bits, feature_bits=feature.bits,
             **cost.counters.as_dict(),
         )

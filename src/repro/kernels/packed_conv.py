@@ -17,7 +17,10 @@ byte-identical to the im2col path (the hypothesis suite enforces it).
 
 The GEMM itself is the backend's fused weighted popcount kernel plus the
 shared fold epilogue of :mod:`repro.core.packed` -- same algebra, same
-int64 exactness.
+int64 exactness.  Frozen weights (:func:`~repro.core.packed.weights_frozen`)
+are validated and packed into the channel-last layout once
+(:func:`~repro.core.packed.prepared_weights`); per call only the feature
+map is checked, packed and gathered.
 """
 
 from __future__ import annotations
@@ -27,36 +30,26 @@ import numpy as np
 from ..core import backends
 from ..core.bitops import (
     WORD_BITS,
-    bit_decompose,
+    _decompose,
     pack_bits,
     packed_words,
     popcount_reduce,
 )
 from ..core.opselect import TCOp, select_operator
 from ..core.packed import (
-    _FLOAT64_EXACT,
     _check_digits,
     _check_overflow,
     _fold_epilogue,
-    fold_exactness_bound,
+    packed_preferred,
+    prepared_weights,
 )
 from ..core.types import Precision
 
 __all__ = [
-    "PACKED_CONV_PQ_THRESHOLD",
     "packed_conv_available",
     "packed_conv_preferred",
     "packed_conv_matmul",
 ]
-
-#: Plane-pair count (``p * q``) at or below which the fused gather GEMM
-#: beats the im2col + fold BLAS path.  The fused kernel's work scales
-#: with ``p * q`` sweeps over the packed words while fold is a single
-#: BLAS GEMM regardless of precision; measured at bench conv shapes the
-#: crossover sits between 4 (gather 1.7-4.5x faster) and 8 (fold
-#: 1.04-1.8x faster), covering the paper pairs w1a2/w2a2/w1a4 on the
-#: gather side and w2a4/w4a4/w2a8 on the fold side.
-PACKED_CONV_PQ_THRESHOLD = 4
 
 
 def packed_conv_available(
@@ -76,21 +69,12 @@ def packed_conv_preferred(
     k_logical: int,
     backend: "backends.Backend | str | None" = None,
 ) -> bool:
-    """Whether the gather path should replace im2col for this problem.
-
-    True when the backend can run it *and* it is expected to win: either
-    the plane-pair count is at most :data:`PACKED_CONV_PQ_THRESHOLD`, or
-    the fold engine's exactness bound fails for this ``K`` (the im2col
-    alternative would then be the far slower plane-pair bmma path, which
-    the fused gather GEMM always beats).
+    """Whether the gather path should replace im2col for this problem:
+    the backend can run it and :func:`~repro.core.packed.packed_preferred`
+    -- the dispatch rule APMM shares -- expects the popcount route to win.
     """
-    if not packed_conv_available(backend):
-        return False
-    if weight.bits * feature.bits <= PACKED_CONV_PQ_THRESHOLD:
-        return True
-    return (
-        fold_exactness_bound(k_logical, weight.bits, feature.bits)
-        >= _FLOAT64_EXACT
+    return packed_conv_available(backend) and packed_preferred(
+        weight, feature, k_logical, backend
     )
 
 
@@ -101,6 +85,19 @@ def _pack_rows(flat: np.ndarray, pack, counters) -> np.ndarray:
     if counters is not None:
         counters.compiled_kernels += 1
     return pack(flat)
+
+
+def _pack_conv_weights(
+    w_digits: np.ndarray, p: int, pack, counters
+) -> np.ndarray:
+    """Range-checked ``(C_out, C_in, KH, KW)`` digits -> ``(p * C_out,
+    KH * KW * ceil(C_in / 64))`` channel-last packed words."""
+    cout, cin, kh, kw = w_digits.shape
+    w_planes = _decompose(w_digits, p)  # (p, C_out, C_in, KH, KW)
+    w_cl = np.ascontiguousarray(w_planes.transpose(0, 1, 3, 4, 2))
+    return _pack_rows(
+        w_cl.reshape(p * cout * kh * kw, cin), pack, counters
+    ).reshape(p * cout, kh * kw * packed_words(cin))
 
 
 def packed_conv_matmul(
@@ -156,7 +153,12 @@ def packed_conv_matmul(
         raise ValueError(
             f"channel mismatch: weights C_in={cin}, features C_in={cin_x}"
         )
-    _check_digits(w_digits, weight, "weight")
+    # Weights: same K order as the gathered windows -- (KH, KW, C_in
+    # packed), one row per (plane, output channel).
+    w_words = prepared_weights(
+        w_digits, weight, "conv",
+        lambda d: _pack_conv_weights(d, weight.bits, pack, counters),
+    )
     _check_digits(padded, feature, "feature")
     plan = select_operator(weight, feature)
     p, q = weight.bits, feature.bits
@@ -169,7 +171,7 @@ def packed_conv_matmul(
     # Features: decompose once, channel-last, pack C_in per pixel; the
     # q feature planes ride the images axis so the gathered rows come
     # out plane-major -- exactly the virtual batched operand layout.
-    x_planes = bit_decompose(padded, q)  # (q, batch, C_in, HP, WP)
+    x_planes = _decompose(padded, q)  # (q, batch, C_in, HP, WP)
     x_cl = np.ascontiguousarray(x_planes.transpose(0, 1, 3, 4, 2))
     x_words = _pack_rows(
         x_cl.reshape(q * batch * hp * wp, cin), pack, counters
@@ -177,14 +179,6 @@ def packed_conv_matmul(
     gathered = gather(x_words, kh, kw, stride)  # (q*n_gemm, kwords)
     if counters is not None:
         counters.compiled_kernels += 1
-
-    # Weights: same K order as the gathered windows -- (KH, KW, C_in
-    # packed), one row per (plane, output channel).
-    w_planes = bit_decompose(w_digits, p)  # (p, C_out, C_in, KH, KW)
-    w_cl = np.ascontiguousarray(w_planes.transpose(0, 1, 3, 4, 2))
-    w_words = _pack_rows(
-        w_cl.reshape(p * cout * kh * kw, cin), pack, counters
-    ).reshape(p * cout, kwords)
 
     fold = gemm(w_words, gathered, p, cout, q, n_gemm, plan.op is TCOp.AND)
     if counters is not None:

@@ -165,6 +165,13 @@ def test_bench_cli_report_and_trace(tmp_path, capsys):
     assert spans and all(s["phase"] == "kernel" for s in spans)
     assert all(s["track"] == "wall" for s in spans)
     assert any(s["attributes"]["bmma_calls"] > 0 for s in spans)
+    # every kernel span says which route ran and where its weights came from
+    assert all(
+        s["attributes"]["route"] in {"popcount", "fold", "gather", "im2col",
+                                     "integer", "bitserial"}
+        and s["attributes"]["weights"] in {"prepared", "per-call"}
+        for s in spans
+    )
 
 
 @pytest.mark.slow
