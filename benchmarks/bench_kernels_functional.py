@@ -73,12 +73,11 @@ def test_apmm_strategies_wall_time(benchmark, rng, strategy):
     assert res.output.shape == (512, 64)
 
 
-@pytest.mark.parametrize("engine", ["word", "fma"])
-def test_bmma_batched_engines(benchmark, rng, engine):
-    """Word-domain vs FMA-routed whole-matrix popcount GEMM."""
+def test_bmma_batched(benchmark, rng):
+    """The whole-matrix popcount GEMM (FMA dot-product identity)."""
     from repro.tensorcore import bmma_batched
 
     a = rng.integers(0, 2**63, size=(256, 16), dtype=np.uint64)
     b = rng.integers(0, 2**63, size=(256, 16), dtype=np.uint64)
-    out = benchmark(lambda: bmma_batched(a, b, TCOp.XOR, engine=engine))
+    out = benchmark(lambda: bmma_batched(a, b, TCOp.XOR))
     assert out.shape == (256, 256)

@@ -111,9 +111,9 @@ def combine_plane_popcounts(
     ``popc`` holds the raw ``(p, q, M, N)`` plane-pair popcounts; ``wsum``
     (``(p, M)``) and ``xsum`` (``(q, N)``) are the per-plane row bit
     counts, required exactly when the plan's correction references them.
-    The single implementation both the plane-wise reference and the
-    packed backend's ``bmma`` engine run, so their byte-identity holds by
-    construction.
+    Only the plane-wise reference (:func:`apbit_matmul_planes`) runs it;
+    the packed backend folds the shift weights first and applies the
+    same correction once (``repro.core.packed._fold_epilogue``).
     """
     plane_vals = plan.popc_scale * popc
     if plan.k_scale:

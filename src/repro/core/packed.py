@@ -8,27 +8,28 @@ module is the fast path the kernels dispatch by default.  Two engines,
 both byte-identical to the reference (and to the tile-level oracle
 :func:`repro.kernels.apmm_sim.apmm_tile_simulate`):
 
-* ``"bmma"`` -- the structural path: decompose operands into bit-planes
-  (:func:`~repro.core.bitops.bit_decompose`), pack them along the
-  reduction axis into ``uint64`` words (:func:`~repro.core.bitops.pack_bits`),
-  stack the planes into the *virtual batched operand* of the paper's
-  batch-based design (``(p*M, nwords)`` x ``(q*N, nwords)``), and issue a
-  single whole-matrix :func:`~repro.tensorcore.bmma.bmma_batched`
-  popcount-reduce GEMM -- one primitive call where the reference issues a
-  5-D broadcast and the tile simulator issues thousands of ``8x8x128``
-  fragments.
+* ``"bmma"`` -- the structural path: decompose operands into bit-planes,
+  pack them along the reduction axis into ``uint64`` words, stack the
+  planes into the *virtual batched operand* of the paper's batch-based
+  design (``(p*M, nwords)`` x ``(q*N, nwords)``), and hand both to
+  :func:`_popcount_gemm`, the one popcount-GEMM core.  It runs the
+  backend's ``packed_gemm`` contract -- the weighted popcount GEMM
+  ``sum_{s,t} 2**(s+t) * popc(W_s op X_t)`` -- then the shared fold
+  epilogue, the hardware-equivalent BMMA tally and the int32 check.
+  The cffi tier fuses the shift weights into its C accumulation; the
+  numpy tier issues one :func:`~repro.tensorcore.bmma.bmma_batched`
+  over all plane pairs and takes the shift-weighted sum.  The packed
+  conv gather (:mod:`repro.kernels.packed_conv`) ends in the same core.
 * ``"fold"`` -- the plane-folding shortcut: every
   :class:`~repro.core.opselect.OperatorPlan` correction is *affine in the
   per-plane popcounts with (s, t)-independent coefficients*, so the double
   shifted sum ``Y = sum_{s,t} 2**(s+t) * plane(s, t)`` distributes onto
   the operands: ``sum_{s,t} 2**(s+t) * popc(W_s op X_t)`` collapses to a
-  single popcount-reduce GEMM between the *digit* matrices (for ``AND``,
-  ``sum_s 2**s W_s`` is just the digits themselves).  That replaces ``p*q``
-  plane-pair products with one -- a ``p*q``-fold MAC reduction on top of
-  the vectorization -- and routes through FMA units exactly like
-  :func:`~repro.tensorcore.bmma.bmma_batched`'s large-problem path.
-  Exactness holds while every partial sum fits the float mantissa; the
-  bound is checked and the engine refuses otherwise.
+  single BLAS GEMM between the *digit* matrices (for ``AND``,
+  ``sum_s 2**s W_s`` is just the digits themselves).  That replaces
+  ``p*q`` plane-pair products with one.  Exactness holds while every
+  partial sum fits the float mantissa; the bound is checked and the
+  engine refuses otherwise.
 
 Static weights are validated and packed once.  A weight array that can
 never change (:func:`weights_frozen` -- the quantizers in
@@ -40,12 +41,11 @@ range-check, decompose and pack ``X``, then one fused popcount GEMM.
 prepared words when :func:`packed_preferred` says the fused popcount GEMM
 wins; otherwise ``fold`` whenever its exactness bound holds -- in
 practice always for the paper's precisions -- falling back to ``bmma``.
-Writable weights never take the prepared route.  Both engines run the
-identical affine correction/combination algebra, so outputs match the
-reference bit for bit; the hypothesis suites in
-``tests/core/test_packed.py`` and ``tests/core/test_prepared.py``
-enforce this across precision pairs, encodings, and ragged
-(non-multiple-of-64) reduction lengths.
+Writable weights never take the prepared route.  Both engines share one
+epilogue (:func:`_fold_epilogue`), so outputs match the reference bit
+for bit; the hypothesis suites in ``tests/core/test_packed.py`` and
+``tests/core/test_prepared.py`` enforce this across precision pairs,
+encodings, and ragged (non-multiple-of-64) reduction lengths.
 """
 
 from __future__ import annotations
@@ -60,15 +60,8 @@ from typing import Any
 import numpy as np
 
 from . import backends
-from .bitops import (
-    WORD_BITS,
-    _decompose,
-    bit_decompose,
-    pack_bits,
-    packed_words,
-    popcount_reduce,
-)
-from .emulate import INT32_MAX, INT32_MIN, combine_plane_popcounts
+from .bitops import _decompose, pack_bits, packed_words, popcount_reduce
+from .emulate import INT32_MAX, INT32_MIN
 from .opselect import OperatorPlan, TCOp, select_operator
 from .types import Precision
 
@@ -162,16 +155,13 @@ def pack_operand(
 
     ``backend`` selects who packs (:mod:`repro.core.backends`); a
     compiled ``pack_bits`` kernel produces byte-identical words to the
-    numpy reference (``bit_decompose`` already guarantees 0/1 planes,
-    so the compiled path skips no validation the numpy path performs
-    on them).
+    numpy reference.
     """
     digits = np.asarray(digits)
     if digits.ndim != 2:
         raise ValueError(f"digits must be 2-D, got shape {digits.shape}")
-    return _pack_planes(
-        bit_decompose(digits, precision.bits), precision, backend, counters
-    )
+    _check_digits(digits, precision, "operand")
+    return _pack_checked(digits, precision, backend, counters)
 
 
 def _pack_checked(
@@ -179,28 +169,25 @@ def _pack_checked(
 ) -> PackedOperand:
     """:func:`pack_operand` on digits that already passed
     :func:`_check_digits` -- the range scan is not repeated."""
-    return _pack_planes(
-        _decompose(digits, precision.bits), precision, backend, counters
+    planes = _decompose(digits, precision.bits)
+    return PackedOperand(
+        words=_pack_words(planes, backend, counters),
+        k_logical=digits.shape[1],
+        precision=precision,
     )
 
 
-def _pack_planes(
-    planes: np.ndarray, precision: Precision, backend, counters
-) -> PackedOperand:
+def _pack_words(planes: np.ndarray, backend, counters) -> np.ndarray:
+    """Pack 0/1 planes along the last axis, ``(..., K) -> (..., nwords)``,
+    on the backend's ``pack_bits`` kernel or numpy."""
     fn = backends.kernel("pack_bits", backend)
     if fn is None:
-        words = pack_bits(planes)
-    else:
-        bits, rows, k = planes.shape
-        words = fn(planes.reshape(bits * rows, k)).reshape(
-            bits, rows, packed_words(k)
-        )
-        if counters is not None:
-            counters.compiled_kernels += 1
-    return PackedOperand(
-        words=words,
-        k_logical=planes.shape[2],
-        precision=precision,
+        return pack_bits(planes)
+    if counters is not None:
+        counters.compiled_kernels += 1
+    k = planes.shape[-1]
+    return fn(planes.reshape(-1, k)).reshape(
+        planes.shape[:-1] + (packed_words(k),)
     )
 
 
@@ -214,6 +201,10 @@ def fold_exactness_bound(k: int, p_bits: int, q_bits: int) -> int:
 
 
 def _check_digits(digits: np.ndarray, precision: Precision, name: str) -> None:
+    if digits.dtype.kind not in "iu":
+        raise TypeError(
+            f"{name} digits must be an integer array, got {digits.dtype}"
+        )
     if digits.size and (
         digits.min() < 0 or digits.max() >= precision.num_levels
     ):
@@ -395,9 +386,10 @@ def _fold_epilogue(
     """The plan's affine correction applied to folded popcount sums.
 
     ``popc_fold`` is ``sum_{s,t} 2**(s+t) * popc(W_s op X_t)`` -- however
-    it was produced (digit-GEMM fold, or the compiled fused popcount
-    GEMM in the word domain); the epilogue algebra is identical, which
-    is what keeps every engine/backend byte-identical.
+    it was produced (the ``fold`` engine's digit GEMM, or either
+    backend's ``packed_gemm`` in :func:`_popcount_gemm`); the epilogue
+    algebra is identical, which is what keeps every engine/backend
+    byte-identical.
     """
     out = plan.popc_scale * popc_fold
     if plan.k_scale:
@@ -409,39 +401,101 @@ def _fold_epilogue(
     return out
 
 
+def _packed_gemm_numpy(
+    a_words: np.ndarray,
+    b_words: np.ndarray,
+    p: int,
+    m: int,
+    q: int,
+    n: int,
+    op_and: bool,
+) -> np.ndarray:
+    """The numpy tier of the ``packed_gemm`` contract: one
+    :func:`~repro.tensorcore.bmma.bmma_batched` over every ``(s, t)``
+    plane pair of the batched operands, then the shift-weighted sum
+    ``sum_{s,t} 2**(s+t) * popc(A_s op B_t)`` as ``(m, n)`` int64."""
+    # core must stay importable without tensorcore at module-import time
+    # (layering: tensorcore sits above core and imports core.bitops)
+    from ..tensorcore.bmma import bmma_batched
+
+    popc = bmma_batched(a_words, b_words, TCOp.AND if op_and else TCOp.XOR)
+    popc = popc.reshape(p, m, q, n)
+    fold = np.zeros((m, n), dtype=np.int64)
+    for s in range(p):
+        for t in range(q):
+            fold += popc[s, :, t, :] << (s + t)
+    return fold
+
+
+def _weighted_rowsums(words: np.ndarray, bits: int, rows: int) -> np.ndarray:
+    """``sum_s 2**s * rowsum(plane s)``, straight off batched packed words."""
+    shifts = np.int64(1) << np.arange(bits, dtype=np.int64)
+    counts = popcount_reduce(words.reshape(bits, rows, words.shape[1]), axis=-1)
+    return (counts * shifts[:, None]).sum(axis=0)
+
+
+def _popcount_gemm(
+    w_words: np.ndarray,
+    x_words: np.ndarray,
+    p: int,
+    m: int,
+    q: int,
+    n: int,
+    k_logical: int,
+    plan: OperatorPlan,
+    backend: "backends.Backend | str | None",
+    counters,
+) -> np.ndarray:
+    """The popcount-GEMM core every packed route ends in.
+
+    ``w_words`` is the ``(p*m, nwords)`` and ``x_words`` the
+    ``(q*n, nwords)`` virtual batched operand (plane ``s`` of row ``r``
+    at row ``s * rows + r``).  Five steps: the weighted popcount GEMM
+    ``sum_{s,t} 2**(s+t) * popc(W_s op X_t)`` on the backend's
+    ``packed_gemm`` kernel (numpy: :func:`_packed_gemm_numpy`), the
+    shift-weighted row sums the plan's correction needs, the fold
+    epilogue, the hardware-equivalent BMMA tally and the int32
+    accumulator check.  Exact in int64 and byte-identical across
+    backends.
+    """
+    from ..tensorcore.bmma import _tally_bmma
+
+    gemm = backends.kernel("packed_gemm", backend)
+    fold = (gemm or _packed_gemm_numpy)(
+        w_words, x_words, p, m, q, n, plan.op is TCOp.AND
+    )
+    row_w = _weighted_rowsums(w_words, p, m) if plan.needs_row_sums else None
+    row_x = _weighted_rowsums(x_words, q, n) if plan.needs_col_sums else None
+    out = _fold_epilogue(
+        fold, plan, k_logical,
+        np.int64((1 << p) - 1), np.int64((1 << q) - 1), row_w, row_x,
+    )
+    if counters is not None:
+        _tally_bmma(counters, p * m, q * n, w_words.shape[1])
+        if gemm is not None:
+            counters.compiled_kernels += 1
+    _check_overflow(out)
+    return out
+
+
 def packed_matmul_planes(
     w_packed: PackedOperand,
     x_packed: PackedOperand,
     plan: OperatorPlan,
     *,
-    check_overflow: bool = True,
     counters=None,
     backend: "backends.Backend | str | None" = None,
 ) -> np.ndarray:
     """The ``bmma`` engine on already-packed operands.
 
-    A compiled backend with the ``packed_gemm`` capability (cffi) runs
-    the *fused weighted* popcount GEMM -- the shift weights folded into
-    the accumulation, so the ``(p, q, M, N)`` int64 plane intermediate
-    (the dominant cost of the numpy path at bench shapes) is never
-    materialized -- and finishes with the same fold epilogue the
-    ``fold`` engine uses.  Without one (numpy), this issues one
-    whole-matrix :func:`~repro.tensorcore.bmma.bmma_batched` over the
-    virtual batched operands (every ``(s, t)`` plane pair at once, the
-    simulator analogue of the paper's batch-based BMMA), then applies
-    the operator plan's affine correction and the shifted-add
-    combination.  Exact in int64 either way; outputs are byte-identical
-    across backends.
+    Both operands' virtual batched forms go through
+    :func:`_popcount_gemm`: the backend's weighted popcount GEMM (the
+    cffi tier fuses the shift weights into its accumulation, so the
+    ``(p, q, M, N)`` plane intermediate never exists; the numpy tier
+    issues one ``bmma_batched`` over all plane pairs), then the same
+    fold epilogue the ``fold`` engine uses.  Exact in int64; outputs
+    are byte-identical across backends.
     """
-    from ..tensorcore.bmma import (  # core must stay importable without
-        # tensorcore at module-import time (layering: tensorcore sits
-        # above core and itself imports core.bitops).
-        BMMA_K,
-        BMMA_M,
-        BMMA_N,
-        bmma_batched,
-    )
-
     if w_packed.nwords != x_packed.nwords:
         raise ValueError(
             f"packed word count mismatch: {w_packed.nwords} vs "
@@ -451,57 +505,11 @@ def packed_matmul_planes(
         raise ValueError(
             f"K mismatch: {w_packed.k_logical} vs {x_packed.k_logical}"
         )
-    p, m = w_packed.bits, w_packed.rows
-    q, n = x_packed.bits, x_packed.rows
-    fn = backends.kernel("packed_gemm", backend)
-    if fn is not None:
-        fold = fn(
-            w_packed.batched(), x_packed.batched(),
-            p, m, q, n, plan.op is TCOp.AND,
-        )
-        sp = np.int64((1 << p) - 1)
-        sq = np.int64((1 << q) - 1)
-        row_w = row_x = None
-        if plan.needs_row_sums:
-            # sum_s 2**s * rowsum(W_s), straight off the packed words
-            shifts = np.int64(1) << np.arange(p, dtype=np.int64)
-            row_w = (w_packed.row_popcounts() * shifts[:, None]).sum(axis=0)
-        if plan.needs_col_sums:
-            shifts = np.int64(1) << np.arange(q, dtype=np.int64)
-            row_x = (x_packed.row_popcounts() * shifts[:, None]).sum(axis=0)
-        out = _fold_epilogue(
-            fold, plan, w_packed.k_logical, sp, sq, row_w, row_x
-        )
-        if counters is not None:
-            # hardware-equivalent tally: identical to the bmma_batched
-            # path, so counter-based assertions hold across backends
-            k_padded = w_packed.nwords * WORD_BITS
-            calls = (
-                -(-(p * m) // BMMA_M)
-                * -(-(q * n) // BMMA_N)
-                * -(-k_padded // BMMA_K)
-            )
-            counters.bmma_calls += calls
-            counters.tc_macs += calls * BMMA_M * BMMA_N * BMMA_K
-            counters.compiled_kernels += 1
-        if check_overflow:
-            _check_overflow(out)
-        return out
-    batched = bmma_batched(
-        w_packed.batched(), x_packed.batched(), plan.op, counters=counters
+    return _popcount_gemm(
+        w_packed.batched(), x_packed.batched(),
+        w_packed.bits, w_packed.rows, x_packed.bits, x_packed.rows,
+        w_packed.k_logical, plan, backend, counters,
     )
-    # (p*M, q*N) -> (p, q, M, N), then the shared correction/combination
-    popc = batched.reshape(p, m, q, n).transpose(0, 2, 1, 3)
-    out = combine_plane_popcounts(
-        popc,
-        plan,
-        w_packed.k_logical,
-        wsum=w_packed.row_popcounts() if plan.needs_row_sums else None,
-        xsum=x_packed.row_popcounts() if plan.needs_col_sums else None,
-    )
-    if check_overflow:
-        _check_overflow(out)
-    return out
 
 
 def _packed_matmul_fold(
@@ -560,7 +568,6 @@ def packed_matmul(
     feature: Precision,
     *,
     engine: str = "auto",
-    check_overflow: bool = True,
     counters=None,
     backend: "backends.Backend | str | None" = None,
 ) -> np.ndarray:
@@ -613,7 +620,6 @@ def packed_matmul(
             w_packed,
             _pack_checked(x_digits, feature, backend, counters),
             plan,
-            check_overflow=check_overflow,
             counters=counters,
             backend=backend,
         )
@@ -628,6 +634,5 @@ def packed_matmul(
             f"{bound} >= 2**53); use engine='bmma'"
         )
     out = _packed_matmul_fold(w_digits, x_digits, plan, weight.bits, feature.bits)
-    if check_overflow:
-        _check_overflow(out)
+    _check_overflow(out)
     return out

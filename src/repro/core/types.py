@@ -100,6 +100,10 @@ class Precision:
         where ``v`` is the unsigned integer formed by the digits.
         """
         digits = np.asarray(digits)
+        if digits.dtype.kind not in "iu":
+            raise TypeError(
+                f"digits must be an integer array, got {digits.dtype}"
+            )
         if digits.size and (digits.min() < 0 or digits.max() >= self.num_levels):
             raise ValueError(
                 f"digits out of range for {self.bits}-bit precision: "

@@ -10,12 +10,12 @@ layer (the memory-efficient bit combination of section 4.1b).
 Three execution strategies produce bit-identical results:
 
 * ``"packed"`` (default) -- the vectorized packed-word backend
-  (:mod:`repro.core.packed`): bit-planes packed into ``uint64`` words,
-  one whole-matrix popcount-reduce GEMM
-  (:func:`~repro.tensorcore.bmma.bmma_batched`) with plane-folding when
-  exact -- the fast path every caller takes automatically.  Frozen
-  weights (quantizer outputs) are validated and packed once; per call
-  only the features are checked and packed;
+  (:mod:`repro.core.packed`): either the BLAS ``fold`` engine on the
+  digit matrices, or bit-planes packed into ``uint64`` words and one
+  weighted popcount-reduce GEMM on the backend's ``packed_gemm`` --
+  the fast path every caller takes automatically.  Frozen weights
+  (quantizer outputs) are validated and packed once; per call only the
+  features are checked and packed;
 * ``"bitserial"`` -- the plane-wise reference: decompose -> per-plane-pair
   packed-word Boolean GEMM -> shifted-add combination;
 * ``"integer"`` -- reference integer GEMM on the decoded operands.

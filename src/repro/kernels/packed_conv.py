@@ -15,10 +15,11 @@ zero filler bits in each ``C_in`` word group are neutral for both ``AND``
 and ``XOR`` because both operands are zero there; outputs are therefore
 byte-identical to the im2col path (the hypothesis suite enforces it).
 
-The GEMM itself is the backend's fused weighted popcount kernel plus the
-shared fold epilogue of :mod:`repro.core.packed` -- same algebra, same
-int64 exactness.  Frozen weights (:func:`~repro.core.packed.weights_frozen`)
-are validated and packed into the channel-last layout once
+The GEMM is the popcount-GEMM core of :mod:`repro.core.packed`
+(``_popcount_gemm``) that ``apmm``'s packed route ends in -- same kernel
+contract, epilogue, tally and int32 check.  Frozen weights
+(:func:`~repro.core.packed.weights_frozen`) are validated and packed
+into the channel-last layout once
 (:func:`~repro.core.packed.prepared_weights`); per call only the feature
 map is checked, packed and gathered.
 """
@@ -28,39 +29,21 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import backends
-from ..core.bitops import (
-    WORD_BITS,
-    _decompose,
-    pack_bits,
-    packed_words,
-    popcount_reduce,
-)
-from ..core.opselect import TCOp, select_operator
+from ..core.bitops import _decompose, packed_words
+from ..core.opselect import select_operator
 from ..core.packed import (
     _check_digits,
-    _check_overflow,
-    _fold_epilogue,
+    _pack_words,
+    _popcount_gemm,
     packed_preferred,
     prepared_weights,
 )
 from ..core.types import Precision
 
 __all__ = [
-    "packed_conv_available",
     "packed_conv_preferred",
     "packed_conv_matmul",
 ]
-
-
-def packed_conv_available(
-    backend: "backends.Backend | str | None" = None,
-) -> bool:
-    """Whether the resolved backend can run the gather-based conv path
-    (needs both ``conv_gather`` and ``packed_gemm``)."""
-    return (
-        backends.kernel("conv_gather", backend) is not None
-        and backends.kernel("packed_gemm", backend) is not None
-    )
 
 
 def packed_conv_preferred(
@@ -70,34 +53,26 @@ def packed_conv_preferred(
     backend: "backends.Backend | str | None" = None,
 ) -> bool:
     """Whether the gather path should replace im2col for this problem:
-    the backend can run it and :func:`~repro.core.packed.packed_preferred`
-    -- the dispatch rule APMM shares -- expects the popcount route to win.
+    the backend provides ``conv_gather`` and
+    :func:`~repro.core.packed.packed_preferred` -- the dispatch rule APMM
+    shares -- expects the popcount route to win.
     """
-    return packed_conv_available(backend) and packed_preferred(
-        weight, feature, k_logical, backend
-    )
-
-
-def _pack_rows(flat: np.ndarray, pack, counters) -> np.ndarray:
-    """Pack ``(rows, C_in)`` 0/1 planes via the backend kernel or numpy."""
-    if pack is None:
-        return pack_bits(flat)
-    if counters is not None:
-        counters.compiled_kernels += 1
-    return pack(flat)
+    if backends.kernel("conv_gather", backend) is None:
+        return False
+    return packed_preferred(weight, feature, k_logical, backend)
 
 
 def _pack_conv_weights(
-    w_digits: np.ndarray, p: int, pack, counters
+    w_digits: np.ndarray, p: int, backend, counters
 ) -> np.ndarray:
     """Range-checked ``(C_out, C_in, KH, KW)`` digits -> ``(p * C_out,
     KH * KW * ceil(C_in / 64))`` channel-last packed words."""
     cout, cin, kh, kw = w_digits.shape
     w_planes = _decompose(w_digits, p)  # (p, C_out, C_in, KH, KW)
     w_cl = np.ascontiguousarray(w_planes.transpose(0, 1, 3, 4, 2))
-    return _pack_rows(
-        w_cl.reshape(p * cout * kh * kw, cin), pack, counters
-    ).reshape(p * cout, kh * kw * packed_words(cin))
+    return _pack_words(w_cl, backend, counters).reshape(
+        p * cout, kh * kw * packed_words(cin)
+    )
 
 
 def packed_conv_matmul(
@@ -107,7 +82,6 @@ def packed_conv_matmul(
     feature: Precision,
     *,
     stride: int = 1,
-    check_overflow: bool = True,
     counters=None,
     backend: "backends.Backend | str | None" = None,
 ) -> np.ndarray:
@@ -128,8 +102,8 @@ def packed_conv_matmul(
         tallies the equivalent 1-bit BMMA work of this layout plus one
         ``compiled_kernels`` tick per compiled kernel invocation.
     backend:
-        Kernel backend; must provide ``conv_gather`` + ``packed_gemm``
-        (check with :func:`packed_conv_available` first).
+        Kernel backend; must provide ``conv_gather`` (check with
+        :func:`packed_conv_preferred` first).
 
     Returns
     -------
@@ -139,13 +113,11 @@ def packed_conv_matmul(
         reshape / padding correction / re-quantization.
     """
     gather = backends.kernel("conv_gather", backend)
-    gemm = backends.kernel("packed_gemm", backend)
-    if gather is None or gemm is None:
+    if gather is None:
         raise RuntimeError(
-            "packed_conv_matmul requires a backend providing conv_gather "
-            "and packed_gemm; check packed_conv_available() first"
+            "packed_conv_matmul requires a backend providing conv_gather; "
+            "check packed_conv_preferred() first"
         )
-    pack = backends.kernel("pack_bits", backend)
 
     cout, cin, kh, kw = w_digits.shape
     batch, cin_x, hp, wp = padded.shape
@@ -157,59 +129,25 @@ def packed_conv_matmul(
     # packed), one row per (plane, output channel).
     w_words = prepared_weights(
         w_digits, weight, "conv",
-        lambda d: _pack_conv_weights(d, weight.bits, pack, counters),
+        lambda d: _pack_conv_weights(d, weight.bits, backend, counters),
     )
     _check_digits(padded, feature, "feature")
-    plan = select_operator(weight, feature)
     p, q = weight.bits, feature.bits
-    cwords = packed_words(cin)
     oh = (hp - kh) // stride + 1
     ow = (wp - kw) // stride + 1
-    n_gemm = batch * oh * ow
-    kwords = kh * kw * cwords
 
     # Features: decompose once, channel-last, pack C_in per pixel; the
     # q feature planes ride the images axis so the gathered rows come
     # out plane-major -- exactly the virtual batched operand layout.
     x_planes = _decompose(padded, q)  # (q, batch, C_in, HP, WP)
     x_cl = np.ascontiguousarray(x_planes.transpose(0, 1, 3, 4, 2))
-    x_words = _pack_rows(
-        x_cl.reshape(q * batch * hp * wp, cin), pack, counters
-    ).reshape(q * batch, hp, wp, cwords)
+    x_words = _pack_words(x_cl, backend, counters).reshape(
+        q * batch, hp, wp, packed_words(cin)
+    )
     gathered = gather(x_words, kh, kw, stride)  # (q*n_gemm, kwords)
     if counters is not None:
         counters.compiled_kernels += 1
-
-    fold = gemm(w_words, gathered, p, cout, q, n_gemm, plan.op is TCOp.AND)
-    if counters is not None:
-        counters.compiled_kernels += 1
-
-    k_logical = cin * kh * kw
-    sp = np.int64((1 << p) - 1)
-    sq = np.int64((1 << q) - 1)
-    row_w = row_x = None
-    if plan.needs_row_sums:
-        shifts = np.int64(1) << np.arange(p, dtype=np.int64)
-        pw = popcount_reduce(w_words.reshape(p, cout, kwords), axis=-1)
-        row_w = (pw * shifts[:, None]).sum(axis=0)
-    if plan.needs_col_sums:
-        shifts = np.int64(1) << np.arange(q, dtype=np.int64)
-        px = popcount_reduce(gathered.reshape(q, n_gemm, kwords), axis=-1)
-        row_x = (px * shifts[:, None]).sum(axis=0)
-    out = _fold_epilogue(fold, plan, k_logical, sp, sq, row_w, row_x)
-
-    if counters is not None:
-        from ..tensorcore.bmma import BMMA_K, BMMA_M, BMMA_N
-
-        # 1-bit BMMA work of *this* layout (K padded to kh*kw word runs)
-        k_padded = kwords * WORD_BITS
-        calls = (
-            -(-(p * cout) // BMMA_M)
-            * -(-(q * n_gemm) // BMMA_N)
-            * -(-k_padded // BMMA_K)
-        )
-        counters.bmma_calls += calls
-        counters.tc_macs += calls * BMMA_M * BMMA_N * BMMA_K
-    if check_overflow:
-        _check_overflow(out)
-    return out
+    return _popcount_gemm(
+        w_words, gathered, p, cout, q, batch * oh * ow, cin * kh * kw,
+        select_operator(weight, feature), backend, counters,
+    )

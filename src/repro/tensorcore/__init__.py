@@ -1,8 +1,6 @@
 """Functional simulator of Ampere Tensor-Core primitives and memory system."""
 
 from .bmma import (
-    BMMA_BATCH_ENGINES,
-    BMMA_FMA_THRESHOLD,
     BMMA_K,
     BMMA_M,
     BMMA_N,
@@ -31,8 +29,6 @@ __all__ = [
     "HMMA_SHAPE",
     "bmma",
     "bmma_batched",
-    "BMMA_BATCH_ENGINES",
-    "BMMA_FMA_THRESHOLD",
     "imma4",
     "imma8",
     "hmma",

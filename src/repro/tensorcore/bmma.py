@@ -10,16 +10,13 @@ The contract mirrors the CUDA WMMA sub-byte API (paper section 2.3):
   (:mod:`repro.core.opselect`).
 * ``bmma_batched`` -- the whole-matrix generalization of ``bmma``: packed
   operand matrices of shape ``(rows, nwords)`` in one call, popcount-reduce
-  GEMM into an int64 result.  This is the word-level primitive the
-  numpy tier of the packed execution path (:mod:`repro.core.packed`)
-  issues instead of sliding ``8x8x128`` fragments in Python loops (the
-  cffi tier runs its own fused kernel instead).  Internally it
-  routes the Boolean reduction through whichever simulated unit is fastest
-  -- native word ops (``AND``/``XOR`` + ``np.bitwise_count``) for small
-  problems, or the FMA pipes via the popcount/dot-product identity for
-  large ones, the same observation Ootomo & Yokota make for emulated
-  tensor-core paths -- while producing bit-identical popcount sums either
-  way.
+  GEMM into an int64 result.  The numpy tier of the packed execution path
+  (:mod:`repro.core.packed`) issues it once over all ``(s, t)`` plane
+  pairs instead of sliding ``8x8x128`` fragments in Python loops (the
+  cffi tier runs its own fused kernel instead).  The Boolean reduction
+  runs on the FMA pipes through the popcount/dot-product identity, the
+  emulation Ootomo & Yokota use for tensor-core paths; the popcount
+  sums are exact.
 * ``imma4`` / ``imma8`` -- the int4 (8x8x32) and int8 (16x16x16) integer
   primitives with int32 accumulation, used by the CUTLASS/cuBLAS baseline
   simulations.
@@ -43,8 +40,6 @@ __all__ = [
     "BMMA_N",
     "BMMA_K",
     "BMMA_WORDS",
-    "BMMA_BATCH_ENGINES",
-    "BMMA_FMA_THRESHOLD",
     "IMMA4_SHAPE",
     "IMMA8_SHAPE",
     "HMMA_SHAPE",
@@ -135,39 +130,6 @@ def bmma(
     return frag_c
 
 
-#: Execution engines of :func:`bmma_batched`.
-BMMA_BATCH_ENGINES = ("auto", "word", "fma")
-
-#: ``rows_a * rows_b * nwords`` above which ``engine="auto"`` routes the
-#: popcount reduction through the FMA pipes (dot-product identity) instead
-#: of native word ops.  Below it, the unpack + matmul setup dominates.
-BMMA_FMA_THRESHOLD = 1 << 16
-
-#: Word-engine blocking: cap the broadcast scratch (rows_a-block x rows_b x
-#: nwords uint64) so it stays cache-resident instead of round-tripping a
-#: whole (rows_a, rows_b, nwords) intermediate through DRAM.
-_WORD_BLOCK_ELEMS = 1 << 21
-
-
-def _bmma_batched_word(
-    a_words: np.ndarray, b_words: np.ndarray, op: TCOp
-) -> np.ndarray:
-    """Popcount-reduce GEMM in the word domain, blocked over A rows."""
-    rows_a, nwords = a_words.shape
-    rows_b = b_words.shape[0]
-    out = np.empty((rows_a, rows_b), dtype=np.int64)
-    block = max(1, _WORD_BLOCK_ELEMS // max(1, rows_b * nwords))
-    bool_op = np.bitwise_and if op is TCOp.AND else np.bitwise_xor
-    for r0 in range(0, rows_a, block):
-        a_blk = a_words[r0: r0 + block, None, :]
-        combined = bool_op(a_blk, b_words[None, :, :])
-        # popcounts (<= 64) overwrite the scratch in place: one allocation
-        # per block instead of two.
-        np.bitwise_count(combined, out=combined)
-        out[r0: r0 + block] = combined.sum(axis=-1, dtype=np.int64)
-    return out
-
-
 def _bmma_batched_fma(
     a_words: np.ndarray, b_words: np.ndarray, op: TCOp
 ) -> np.ndarray:
@@ -200,7 +162,6 @@ def bmma_batched(
     b_words: np.ndarray,
     op: TCOp = TCOp.XOR,
     *,
-    engine: str = "auto",
     counters=None,
 ) -> np.ndarray:
     """Whole-matrix binary MMA: ``out[i, j] = sum_w popc(A[i, w] op B[j, w])``.
@@ -222,11 +183,6 @@ def bmma_batched(
         ``(rows_b, nwords)`` uint64 packed rows.
     op:
         Boolean reduction operator (``TCOp.AND`` or ``TCOp.XOR``).
-    engine:
-        ``"word"`` (native word ops + ``np.bitwise_count``), ``"fma"``
-        (dot-product identity on the unpacked planes, BLAS-backed), or
-        ``"auto"`` (pick by problem size).  All engines return bit-identical
-        results.
     counters:
         Optional :class:`~repro.tensorcore.counters.ExecutionCounters`;
         when given, the hardware-equivalent work is tallied: the number of
@@ -257,33 +213,27 @@ def bmma_batched(
         )
     if not isinstance(op, TCOp):
         raise TypeError(f"op must be a TCOp, got {type(op).__name__}")
-    if engine not in BMMA_BATCH_ENGINES:
-        raise ValueError(
-            f"unknown engine {engine!r}; choose from {BMMA_BATCH_ENGINES}"
-        )
 
     rows_a, nwords = a_words.shape
     rows_b = b_words.shape[0]
-    if engine == "auto":
-        engine = (
-            "fma" if rows_a * rows_b * nwords >= BMMA_FMA_THRESHOLD
-            else "word"
-        )
     if rows_a == 0 or rows_b == 0 or nwords == 0:
         out = np.zeros((rows_a, rows_b), dtype=np.int64)
-    elif engine == "word":
-        out = _bmma_batched_word(a_words, b_words, op)
     else:
         out = _bmma_batched_fma(a_words, b_words, op)
 
     if counters is not None:
-        k_padded = nwords * WORD_BITS
-        calls = (
-            -(-rows_a // BMMA_M) * -(-rows_b // BMMA_N) * -(-k_padded // BMMA_K)
-        )
-        counters.bmma_calls += calls
-        counters.tc_macs += calls * BMMA_M * BMMA_N * BMMA_K
+        _tally_bmma(counters, rows_a, rows_b, nwords)
     return out
+
+
+def _tally_bmma(counters, rows_a: int, rows_b: int, nwords: int) -> None:
+    """Add the ``8 x 8 x 128`` primitive invocations (and their 1-bit
+    MACs) a ``(rows_a, nwords) x (rows_b, nwords)`` packed popcount GEMM
+    stands for to ``counters``."""
+    k_padded = nwords * WORD_BITS
+    calls = -(-rows_a // BMMA_M) * -(-rows_b // BMMA_N) * -(-k_padded // BMMA_K)
+    counters.bmma_calls += calls
+    counters.tc_macs += calls * BMMA_M * BMMA_N * BMMA_K
 
 
 def _integer_mma(

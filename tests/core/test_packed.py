@@ -21,7 +21,9 @@ from repro.core import (
     Encoding,
     PackedOperand,
     Precision,
+    PrecisionPair,
     apbit_matmul,
+    backends,
     fold_exactness_bound,
     pack_operand,
     packed_matmul,
@@ -29,8 +31,26 @@ from repro.core import (
     select_operator,
 )
 from repro.core.bitops import unpack_bits
+from repro.core.packed import packed_preferred
+from repro.core.quantize import _freeze
+from repro.kernels.apconv import apconv
+from repro.kernels.apmm import apmm
+from repro.kernels.packed_conv import packed_conv_matmul, packed_conv_preferred
+from repro.tensorcore import ExecutionCounters
 
 U, B = Encoding.UNSIGNED, Encoding.BIPOLAR
+
+needs_cffi = pytest.mark.skipif(
+    "cffi" not in backends.backend_names()
+    or backends.kernel("packed_gemm", "cffi") is None,
+    reason="cffi backend not usable here",
+)
+#: The two kernel tiers; the cffi one skips where it cannot load.
+BACKENDS = ["numpy", pytest.param("cffi", marks=needs_cffi)]
+
+#: First K at which w16a16's fold bound reaches 2**53: ``packed_preferred``
+#: sends the product to the popcount route at any ``p * q``.
+K_PAST_FOLD = 2_097_217
 
 ENCODINGS = st.sampled_from([U, B])
 
@@ -177,8 +197,29 @@ class TestValidationAndEngines:
             apbit_matmul(W, X, wp, xp)
         with pytest.raises(OverflowError):
             packed_matmul(W, X, wp, xp)
-        out = packed_matmul(W, X, wp, xp, check_overflow=False)
-        assert np.array_equal(out, reference_matmul(W, X, wp, xp))
+
+    def _all_max_w16a16(self):
+        wp = Precision(16, U)
+        assert fold_exactness_bound(K_PAST_FOLD, 16, 16) >= 1 << 53
+        assert fold_exactness_bound(K_PAST_FOLD - 1, 16, 16) < 1 << 53
+        digits = np.full(K_PAST_FOLD, wp.num_levels - 1, dtype=np.uint16)
+        return wp, digits
+
+    @needs_cffi
+    def test_overflow_checked_on_prepared_popcount_route(self):
+        wp, digits = self._all_max_w16a16()
+        assert packed_preferred(wp, wp, K_PAST_FOLD, "cffi")
+        W = _freeze(digits.reshape(1, -1))
+        with pytest.raises(OverflowError, match="int32"):
+            apmm(W, digits.reshape(1, -1), wp, wp, backend="cffi")
+
+    @needs_cffi
+    def test_overflow_checked_on_gather_conv(self):
+        wp, digits = self._all_max_w16a16()
+        assert packed_conv_preferred(wp, wp, K_PAST_FOLD, "cffi")
+        cube = digits.reshape(1, -1, 1, 1)  # 1x1 conv with C_in = K
+        with pytest.raises(OverflowError, match="int32"):
+            apconv(cube, cube, wp, wp, backend="cffi")
 
     def test_fold_bound_refused_when_inexact(self):
         assert fold_exactness_bound(100, 8, 8) == 100 * 255 * 255
@@ -202,16 +243,34 @@ class TestValidationAndEngines:
             apbit_matmul(W, X, wp, xp),
         )
 
-    def test_counters_tally_bmma_engine_work(self):
-        from repro.tensorcore import ExecutionCounters
-
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_counters_tally_bmma_engine_work(self, backend):
         wp, xp = Precision(2, B), Precision(2, U)
         W, X = _operands(4, 16, 16, 128, wp, xp)
         counters = ExecutionCounters()
-        packed_matmul(W, X, wp, xp, engine="bmma", counters=counters)
+        packed_matmul(W, X, wp, xp, engine="bmma", counters=counters,
+                      backend=backend)
         # batched operand: (2*16) x (2*16) rows over ceil(128/128) K tiles
-        assert counters.bmma_calls == 4 * 4 * 1
-        assert counters.tc_macs == counters.bmma_calls * 8 * 8 * 128
+        assert counters.bmma_calls == 16
+        assert counters.tc_macs == 131_072  # 16 * 8*8*128
+        # cffi: pack W, pack X, fused GEMM
+        assert counters.compiled_kernels == (3 if backend == "cffi" else 0)
+
+    @needs_cffi
+    def test_counters_tally_gather_conv_work(self):
+        wp, xp = Precision(1, B), Precision(2, U)
+        rng = np.random.default_rng(4)
+        W = wp.random_digits(rng, (8, 16, 3, 3))
+        padded = xp.random_digits(rng, (2, 16, 6, 6))
+        counters = ExecutionCounters()
+        packed_conv_matmul(W, padded, wp, xp, counters=counters,
+                           backend="cffi")
+        # batched operand: 1*8 weight rows x 2*(2*4*4) window rows; K is
+        # 3*3 runs of one word = 576 bits = 5 K tiles
+        assert counters.bmma_calls == 1 * 8 * 5
+        assert counters.tc_macs == 327_680  # 40 * 8*8*128
+        # pack W, pack X, gather, fused GEMM
+        assert counters.compiled_kernels == 4
 
     def test_plan_selection_matches_opselect(self):
         # the packed path must honor the same operator plan the reference
@@ -225,3 +284,48 @@ class TestValidationAndEngines:
                     packed_matmul(W, X, wp, xp, engine="fold"),
                     apbit_matmul(W, X, wp, xp),
                 ), plan.case
+
+
+#: (route, backend) pairs that exist: the gather needs the cffi
+#: ``conv_gather``; the reference routes are numpy by definition.
+ROUTES = [
+    ("fold", "numpy"), ("popcount", "numpy"), ("im2col", "numpy"),
+    ("integer", "numpy"), ("bitserial", "numpy"),
+    pytest.param("fold", "cffi", marks=needs_cffi),
+    pytest.param("popcount", "cffi", marks=needs_cffi),
+    pytest.param("gather", "cffi", marks=needs_cffi),
+    pytest.param("im2col", "cffi", marks=needs_cffi),
+]
+
+
+def _run_route(route, backend, w, x):
+    """``w (M, K) x x (N, K)`` along one route; conv routes run it as a
+    1x1 convolution over K channels."""
+    pair = PrecisionPair.parse("w4a4" if route == "im2col" else "w1a2")
+    wp, xp = pair.weight, pair.activation
+    if route in ("fold", "popcount"):
+        engine = "fold" if route == "fold" else "bmma"
+        return packed_matmul(w, x, wp, xp, engine=engine, backend=backend)
+    if route in ("integer", "bitserial"):
+        return apmm(w, x, wp, xp, strategy=route)
+    k = w.shape[1]
+    assert packed_conv_preferred(wp, xp, k, backend) == (route == "gather")
+    return apconv(w.reshape(-1, k, 1, 1), x.reshape(-1, k, 1, 1), wp, xp,
+                  backend=backend)
+
+
+class TestNonIntegerDigits:
+    """Float or bool digits raise ``TypeError`` on every route and
+    backend: a route that cast them would return a truncated product."""
+
+    @pytest.mark.parametrize("route,backend", ROUTES)
+    @pytest.mark.parametrize("operand", ["weight", "feature"])
+    @pytest.mark.parametrize("bad", [
+        np.array([[0.5, 1.0, 0.0, 1.0]]),
+        np.array([[True, False, True, True]]),
+    ], ids=["float", "bool"])
+    def test_rejected(self, route, backend, operand, bad):
+        good = np.array([[1, 0, 1, 1]], dtype=np.int64)
+        w, x = (bad, good) if operand == "weight" else (good, bad)
+        with pytest.raises(TypeError, match="integer"):
+            _run_route(route, backend, w, x)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.core import TCOp
 from repro.core.bitops import pack_bits
 from repro.tensorcore import (
-    BMMA_FMA_THRESHOLD,
     BMMA_K,
     BMMA_M,
     BMMA_N,
@@ -191,10 +190,9 @@ class TestBMMABatched:
             naive = a64 @ b64.T
         else:
             naive = (a64[:, None, :] ^ b64[None, :, :]).sum(axis=-1)
-        for engine in ("word", "fma", "auto"):
-            out = bmma_batched(a_words, b_words, op, engine=engine)
-            assert out.dtype == np.int64
-            assert np.array_equal(out, naive), engine
+        out = bmma_batched(a_words, b_words, op)
+        assert out.dtype == np.int64
+        assert np.array_equal(out, naive)
 
     def test_matches_tiled_bmma_composition(self):
         """One batched call == many 8x8x128 fragment calls."""
@@ -220,35 +218,6 @@ class TestBMMABatched:
                     )
         assert np.array_equal(batched, acc.astype(np.int64))
 
-    @settings(max_examples=25, deadline=None)
-    @given(
-        seed=st.integers(0, 10**6),
-        rows_a=st.integers(1, 20),
-        rows_b=st.integers(1, 20),
-        k=st.integers(1, 200),
-        op=st.sampled_from([TCOp.AND, TCOp.XOR]),
-    )
-    def test_property_word_equals_fma(self, seed, rows_a, rows_b, k, op):
-        _, _, a_words, b_words = self._packed(seed, rows_a, rows_b, k)
-        assert np.array_equal(
-            bmma_batched(a_words, b_words, op, engine="word"),
-            bmma_batched(a_words, b_words, op, engine="fma"),
-        )
-
-    def test_auto_routes_by_problem_size(self):
-        # the threshold is on rows_a * rows_b * nwords; auto must agree
-        # with both explicit engines on either side of it
-        for rows_a, rows_b, k in [(4, 4, 64), (320, 256, 128)]:
-            work = rows_a * rows_b * -(-k // 64)
-            assert (work < BMMA_FMA_THRESHOLD) == (rows_a == 4)
-            _, _, a_words, b_words = self._packed(2, rows_a, rows_b, k)
-            auto = bmma_batched(a_words, b_words, TCOp.AND, engine="auto")
-            for engine in ("word", "fma"):
-                assert np.array_equal(
-                    auto,
-                    bmma_batched(a_words, b_words, TCOp.AND, engine=engine),
-                )
-
     def test_counters_record_equivalent_fragment_calls(self):
         _, _, a_words, b_words = self._packed(3, 17, 9, 130)
         counters = ExecutionCounters()
@@ -267,5 +236,3 @@ class TestBMMABatched:
             bmma_batched(good, np.zeros((4, 3), dtype=np.uint64))
         with pytest.raises(TypeError, match="TCOp"):
             bmma_batched(good, good, "xor")
-        with pytest.raises(ValueError, match="engine"):
-            bmma_batched(good, good, TCOp.AND, engine="cuda")
