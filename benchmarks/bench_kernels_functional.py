@@ -8,7 +8,13 @@ useful for keeping the simulator usable as problem sizes grow.
 import numpy as np
 import pytest
 
-from repro.core import PrecisionPair, apbit_matmul, bit_decompose, pack_bits
+from repro.core import (
+    PrecisionPair,
+    apbit_matmul,
+    backends,
+    bit_decompose,
+    pack_bits,
+)
 from repro.core.bitops import popcount_reduce
 from repro.core.opselect import TCOp
 from repro.kernels import apmm
@@ -24,6 +30,21 @@ def test_pack_bits_1M(benchmark, rng):
     bits = rng.integers(0, 2, size=(128, 8192), dtype=np.uint8)
     words = benchmark(lambda: pack_bits(bits))
     assert words.shape == (128, 128)
+
+
+@pytest.mark.parametrize("backend", backends.backend_names())
+def test_pack_digits(benchmark, rng, backend):
+    """One ResNet-18-32 gather layer's activation pack (8x64x7x7, w1a2,
+    pad 1): the compiled kernel must match its numpy tier word for word."""
+    from repro.core.packed import _pack_digits_numpy
+
+    x = rng.integers(0, 4, size=(8, 64, 7, 7))
+    pack = backends.kernel("pack_digits", backend) or _pack_digits_numpy
+    words, bad = benchmark(lambda: pack(x, 2, 1, 0))
+    want, _ = _pack_digits_numpy(x, 2, 1, 0)
+    assert not bad
+    assert words.shape == (16, 9, 9, 1)
+    assert np.array_equal(words, want)
 
 
 def test_bit_decompose_8bit(benchmark, rng):

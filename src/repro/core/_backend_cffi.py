@@ -2,8 +2,14 @@
 
 Three functions mirror the numpy packed path exactly (bit for bit):
 
-* ``repro_pack_bits`` -- rows of 0/1 bytes packed little-endian into
-  ``uint64`` words (:func:`repro.core.bitops.pack_bits` layout);
+* ``repro_pack_digits`` -- the ``pack_digits`` contract of
+  :mod:`repro.core.packed`: ``(B, C, H, W)`` digits straight to
+  plane-major, channel-last ``uint64`` words with the pad frame holding
+  the planes of the pad digit, plus an out-of-range flag.  One pass over
+  the digits with unit-stride inner loops (gemm rows sweep a word's
+  contiguous channels; feature maps build a block of pixels' words per
+  channel word): no padded digit map, no ``(bits, ...)`` plane array
+  and no transpose copy exist;
 * ``repro_packed_gemm`` -- the *fused weighted* popcount-reduce GEMM
   ``out[i, j] = sum_{s,t} 2**(s+t) * popc(a[s*m+i] op b[t*n+j])``, i.e.
   the whole batched BMMA plus the shifted-add bit combination in one
@@ -42,8 +48,9 @@ import numpy as np
 __all__ = ["kernels", "cache_dir", "CFFI_SOURCE"]
 
 CFFI_CDEF = """
-void repro_pack_bits(const uint8_t *bits, int64_t rows, int64_t k,
-                     uint64_t *out);
+int32_t repro_pack_digits(const int64_t *src, int64_t nb, int64_t nc,
+                          int64_t h, int64_t w, int64_t bits, int64_t pad,
+                          int64_t pad_digit, uint64_t *out);
 void repro_packed_gemm(const uint64_t *a, const uint64_t *b,
                        int64_t p, int64_t m, int64_t q, int64_t n,
                        int64_t nwords, int32_t op_and, int64_t *out);
@@ -56,26 +63,95 @@ CFFI_SOURCE = r"""
 #include <stdint.h>
 #include <string.h>
 
-/* pack_bits layout contract (repro.core.bitops): bit i of a logical row
-   lands at bit (i % 64) of word (i / 64), final word zero-padded. */
-void repro_pack_bits(const uint8_t *bits, int64_t rows, int64_t k,
-                     uint64_t *out) {
-    int64_t nwords = (k + 63) / 64;
-    for (int64_t r = 0; r < rows; r++) {
-        const uint8_t *row = bits + r * k;
-        uint64_t *orow = out + r * nwords;
-        for (int64_t w = 0; w < nwords; w++) {
-            /* one register accumulator per word: no read-modify-write
-               chain through memory */
-            const uint8_t *src = row + w * 64;
-            int64_t n = k - w * 64 < 64 ? k - w * 64 : 64;
-            uint64_t acc = 0;
-            for (int64_t i = 0; i < n; i++) {
-                acc |= ((uint64_t)(src[i] & 1)) << i;
+/* pack_digits contract (repro.core.packed): src is (nb, nc, h, w)
+   digits; out is (bits*nb, h+2*pad, w+2*pad, cw) words, cw =
+   ceil(nc/64).  Plane s of image i is out image s*nb + i; channel c sits
+   at bit c % 64 of word c / 64, filler bits zero (bitops.pack_bits
+   layout along the channel axis); the pad frame holds the planes of
+   pad_digit.  Returns nonzero when a digit lies outside [0, 2**bits):
+   the cast to unsigned sends negatives past the top.  bits <= 16
+   (types.MAX_BITS) bounds the accumulator block. */
+#define PACK_PIXELS 64
+int32_t repro_pack_digits(const int64_t *src, int64_t nb, int64_t nc,
+                          int64_t h, int64_t w, int64_t bits, int64_t pad,
+                          int64_t pad_digit, uint64_t *out) {
+    const int64_t hp = h + 2 * pad, wp = w + 2 * pad;
+    const int64_t cw = (nc + 63) / 64, hw = h * w;
+    const int64_t plane = nb * hp * wp * cw;  /* words per plane */
+    uint64_t bad = 0;
+    for (int64_t s = 0; pad && s < bits; s++) {
+        const int set = (int)((pad_digit >> s) & 1);
+        for (int64_t i = 0; i < nb; i++) {
+            uint64_t *img = out + (s * nb + i) * hp * wp * cw;
+            for (int64_t y = 0; y < hp; y++) {
+                const int frame_row = y < pad || y >= pad + h;
+                for (int64_t x = 0; x < wp; x++) {
+                    if (!frame_row && x >= pad && x < pad + w)
+                        continue;
+                    uint64_t *dst = img + (y * wp + x) * cw;
+                    for (int64_t k = 0; k < cw; k++) {
+                        int64_t n = nc - k * 64 < 64 ? nc - k * 64 : 64;
+                        dst[k] = !set ? 0
+                            : n == 64 ? ~(uint64_t)0
+                            : (((uint64_t)1 << n) - 1);
+                    }
+                }
             }
-            orow[w] = acc;
         }
     }
+    if (hw == 1) {
+        /* gemm rows (and 1x1 maps): a word's channels are contiguous,
+           so each plane's word is one unit-stride sweep */
+        for (int64_t i = 0; i < nb; i++) {
+            uint64_t *dst = out + ((i * hp + pad) * wp + pad) * cw;
+            for (int64_t k = 0; k < cw; k++) {
+                const uint64_t *ch = (const uint64_t *)src + i * nc + k * 64;
+                int64_t n = nc - k * 64 < 64 ? nc - k * 64 : 64;
+                for (int64_t s = 0; s < bits; s++) {
+                    uint64_t acc = 0;
+                    for (int64_t j = 0; j < n; j++) {
+                        bad |= ch[j] >> bits;
+                        acc |= ((ch[j] >> s) & 1) << j;
+                    }
+                    dst[s * plane + k] = acc;
+                }
+            }
+        }
+        return bad != 0;
+    }
+    /* feature maps: per channel word, PACK_PIXELS pixels at a time --
+       each channel's pixels are contiguous, so the inner loops are
+       unit-stride with uniform shifts and the block's words stay in a
+       small accumulator until they are scattered to the output */
+    uint64_t acc[16 * PACK_PIXELS];
+    for (int64_t i = 0; i < nb; i++) {
+        for (int64_t k = 0; k < cw; k++) {
+            const uint64_t *ch = (const uint64_t *)src + (i * nc + k * 64) * hw;
+            int64_t n = nc - k * 64 < 64 ? nc - k * 64 : 64;
+            for (int64_t p0 = 0; p0 < hw; p0 += PACK_PIXELS) {
+                int64_t pn = hw - p0 < PACK_PIXELS ? hw - p0 : PACK_PIXELS;
+                memset(acc, 0, (size_t)(bits * pn) * sizeof(uint64_t));
+                for (int64_t j = 0; j < n; j++) {
+                    const uint64_t *row = ch + j * hw + p0;
+                    for (int64_t p = 0; p < pn; p++)
+                        bad |= row[p] >> bits;
+                    for (int64_t s = 0; s < bits; s++) {
+                        uint64_t *a = acc + s * pn;
+                        for (int64_t p = 0; p < pn; p++)
+                            a[p] |= ((row[p] >> s) & 1) << j;
+                    }
+                }
+                for (int64_t p = 0; p < pn; p++) {
+                    int64_t y = (p0 + p) / w, x = (p0 + p) % w;
+                    uint64_t *dst = out
+                        + ((i * hp + y + pad) * wp + x + pad) * cw + k;
+                    for (int64_t s = 0; s < bits; s++)
+                        dst[s * plane] = acc[s * pn + p];
+                }
+            }
+        }
+    }
+    return bad != 0;
 }
 
 /* Fused weighted popcount-reduce GEMM over plane-major packed operands:
@@ -229,23 +305,32 @@ def _build() -> Any:
     return _loaded
 
 
-def _pack_bits(bits01: np.ndarray) -> np.ndarray:
-    """(rows, k) uint8 0/1 -> (rows, ceil(k/64)) uint64, bitops layout."""
+def _pack_digits(
+    digits: np.ndarray, bits: int, pad: int, pad_digit: int
+) -> tuple[np.ndarray | None, bool]:
+    """``(B, C, H, W)`` digits -> ``((bits * B, H + 2*pad, W + 2*pad,
+    ceil(C / 64))`` uint64 words, out-of-range flag)``; non-integer
+    digits are flagged without packing."""
+    if digits.dtype.kind not in "iu":
+        return None, True
+    if not 1 <= bits <= 16 or pad < 0:
+        raise ValueError(f"pack_digits: bits={bits}, pad={pad} out of range")
     module = _build()
     ffi, lib = module.ffi, module.lib
-    bits01 = np.ascontiguousarray(bits01, dtype=np.uint8)
-    rows, k = bits01.shape
-    nwords = -(-k // 64) if k else 0
-    out = np.empty((rows, nwords), dtype=np.uint64)
-    if rows and k:
-        lib.repro_pack_bits(
-            ffi.from_buffer("uint8_t *", bits01),
-            rows, k,
-            ffi.from_buffer("uint64_t *", out),
-        )
-    else:
-        out[...] = 0
-    return out
+    # uint64 digits past 2**63 wrap negative here and are flagged
+    digits = np.ascontiguousarray(digits, dtype=np.int64)
+    nb, nc, h, w = digits.shape
+    out = np.empty(
+        (bits * nb, h + 2 * pad, w + 2 * pad, -(-nc // 64)), dtype=np.uint64
+    )
+    if not out.size:
+        return out, False
+    bad = lib.repro_pack_digits(
+        ffi.from_buffer("int64_t *", digits),
+        nb, nc, h, w, bits, pad, pad_digit,
+        ffi.from_buffer("uint64_t *", out),
+    )
+    return out, bool(bad)
 
 
 def _packed_gemm(
@@ -298,7 +383,7 @@ def kernels() -> dict[str, Callable[..., Any]]:
     """Capability -> kernel table (builds/loads the shared object)."""
     _build()
     return {
-        "pack_bits": _pack_bits,
+        "pack_digits": _pack_digits,
         "packed_gemm": _packed_gemm,
         "conv_gather": _conv_gather,
     }

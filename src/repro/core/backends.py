@@ -1,7 +1,8 @@
 """Kernel-backend registry: who executes the packed hot loops.
 
-The packed strategy has three hot loops -- :func:`~repro.core.bitops.
-pack_bits`, the popcount-reduce GEMM, and the packed conv window gather.
+The packed strategy has three hot loops -- the digit pack (range check,
+pad frame, bit split and channel pack in one contract), the
+popcount-reduce GEMM, and the packed conv window gather.
 A :class:`Backend` descriptor names one implementation tier and
 advertises which loops it accelerates via capability flags.  Two tiers
 ship: ``cffi`` (ahead-of-time C, used whenever its kernels load) and
@@ -44,13 +45,15 @@ __all__ = [
 
 #: The packed hot loops a compiled backend may accelerate.
 #:
-#: * ``pack_bits`` -- bit-plane rows packed into ``uint64`` words;
+#: * ``pack_digits`` -- ``(B, C, H, W)`` digits to plane-major,
+#:   channel-last ``uint64`` words with an input-aware pad frame, plus an
+#:   out-of-range flag (the contract of :mod:`repro.core.packed`);
 #: * ``packed_gemm`` -- the fused weighted popcount-reduce GEMM
 #:   (``sum_{s,t} 2**(s+t) * popc(A_s op B_t)`` in one pass, no
 #:   ``(p, q, M, N)`` intermediate);
 #: * ``conv_gather`` -- packed conv window gather over a word-packed
 #:   feature map (kills the im2col digit-matrix materialization).
-CAPABILITIES = ("pack_bits", "packed_gemm", "conv_gather")
+CAPABILITIES = ("pack_digits", "packed_gemm", "conv_gather")
 
 #: Kernel execution strategies (the axis `apmm`/`apconv` always had).
 #: ``"packed"`` is the only backend-sensitive one; ``"integer"`` and

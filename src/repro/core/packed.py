@@ -8,10 +8,11 @@ module is the fast path the kernels dispatch by default.  Two engines,
 both byte-identical to the reference (and to the tile-level oracle
 :func:`repro.kernels.apmm_sim.apmm_tile_simulate`):
 
-* ``"bmma"`` -- the structural path: decompose operands into bit-planes,
-  pack them along the reduction axis into ``uint64`` words, stack the
-  planes into the *virtual batched operand* of the paper's batch-based
-  design (``(p*M, nwords)`` x ``(q*N, nwords)``), and hand both to
+* ``"bmma"`` -- the structural path: split operands into bit-planes
+  packed along the reduction axis into ``uint64`` words (the backend's
+  ``pack_digits`` contract, :func:`_pack_digits`), stacked as the
+  *virtual batched operand* of the paper's batch-based design
+  (``(p*M, nwords)`` x ``(q*N, nwords)``), and hand both to
   :func:`_popcount_gemm`, the one popcount-GEMM core.  It runs the
   backend's ``packed_gemm`` contract -- the weighted popcount GEMM
   ``sum_{s,t} 2**(s+t) * popc(W_s op X_t)`` -- then the shared fold
@@ -35,7 +36,8 @@ Static weights are validated and packed once.  A weight array that can
 never change (:func:`weights_frozen` -- the quantizers in
 :mod:`repro.core.quantize` return such digits) has its packed words
 memoized on first use, so later calls do only activation-side work:
-range-check, decompose and pack ``X``, then one fused popcount GEMM.
+one ``pack_digits`` call on ``X`` (range check, bit split and pack in a
+single C pass on the cffi tier), then one fused popcount GEMM.
 
 ``engine="auto"`` (the default everywhere) picks ``bmma`` on those
 prepared words when :func:`packed_preferred` says the fused popcount GEMM
@@ -60,7 +62,7 @@ from typing import Any
 import numpy as np
 
 from . import backends
-from .bitops import _decompose, pack_bits, packed_words, popcount_reduce
+from .bitops import _decompose, pack_bits, popcount_reduce
 from .emulate import INT32_MAX, INT32_MIN
 from .opselect import OperatorPlan, TCOp, select_operator
 from .types import Precision
@@ -97,8 +99,12 @@ _FLOAT32_EXACT = 1 << 24
 #: (fold 1.04-1.8x faster): w1a2/w2a2/w1a4 on the popcount side,
 #: w2a4/w4a4/w2a8 on the fold side.  On prepared (static) weights a
 #: GEMV-shaped product such as AlexNet fc7 (4096x4x4096, w1a2) drops
-#: from ~70 ms on fold to ~1 ms; at ``p * q = 4`` with ``N`` in the
-#: thousands fold stays up to 1.5x faster (activation packing dominates).
+#: from ~70 ms on fold to ~1 ms.  At ``p * q = 4`` with ``N`` in the
+#: thousands fold stays ahead: w1a4 64x8192x576 takes 24-27 ms on the
+#: prepared popcount route against 17-25 ms on fold (2-vCPU x86_64,
+#: cffi, best of 15; 27-34 ms when numpy decomposed the activations).
+#: The compiled ``pack_digits`` of ``X`` is 6.9 ms of it, the fused GEMM
+#: 8.7 ms, the numpy row sums and epilogue the rest.
 PACKED_PQ_THRESHOLD = 4
 
 
@@ -111,7 +117,8 @@ class PackedOperand:
     words:
         ``(bits, rows, nwords)`` uint64 -- plane ``s`` of row ``r`` packed
         along the reduction axis (:func:`~repro.core.bitops.pack_bits`
-        layout, zero-padded final word).
+        layout, zero-padded final word; :func:`_pack_digits` on the rows
+        viewed as ``(rows, K, 1, 1)``).
     k_logical:
         True (pre-padding) reduction length.
     precision:
@@ -151,44 +158,89 @@ def pack_operand(
     backend: "backends.Backend | str | None" = None,
     counters=None,
 ) -> PackedOperand:
-    """Decompose a ``(rows, K)`` digit matrix and pack it plane-wise.
+    """Range-check a ``(rows, K)`` digit matrix and pack it plane-wise.
 
     ``backend`` selects who packs (:mod:`repro.core.backends`); a
-    compiled ``pack_bits`` kernel produces byte-identical words to the
+    compiled ``pack_digits`` kernel produces byte-identical words to the
     numpy reference.
     """
     digits = np.asarray(digits)
     if digits.ndim != 2:
         raise ValueError(f"digits must be 2-D, got shape {digits.shape}")
-    _check_digits(digits, precision, "operand")
-    return _pack_checked(digits, precision, backend, counters)
+    return _pack_rows(digits, precision, "operand", backend, counters)
 
 
-def _pack_checked(
-    digits: np.ndarray, precision: Precision, backend, counters
+def _pack_rows(
+    digits: np.ndarray, precision: Precision, name: str, backend, counters
 ) -> PackedOperand:
-    """:func:`pack_operand` on digits that already passed
-    :func:`_check_digits` -- the range scan is not repeated."""
-    planes = _decompose(digits, precision.bits)
+    """:func:`_pack_digits` on a ``(rows, K)`` matrix viewed as ``(rows,
+    K, 1, 1)``: K is the channel axis, so the words come out ``(bits,
+    rows, nwords)``."""
+    rows, k = digits.shape
+    words = _pack_digits(
+        digits.reshape(rows, k, 1, 1), precision, name, backend, counters
+    )
     return PackedOperand(
-        words=_pack_words(planes, backend, counters),
-        k_logical=digits.shape[1],
+        words=words.reshape(precision.bits, rows, -1),
+        k_logical=k,
         precision=precision,
     )
 
 
-def _pack_words(planes: np.ndarray, backend, counters) -> np.ndarray:
-    """Pack 0/1 planes along the last axis, ``(..., K) -> (..., nwords)``,
-    on the backend's ``pack_bits`` kernel or numpy."""
-    fn = backends.kernel("pack_bits", backend)
-    if fn is None:
-        return pack_bits(planes)
-    if counters is not None:
-        counters.compiled_kernels += 1
-    k = planes.shape[-1]
-    return fn(planes.reshape(-1, k)).reshape(
-        planes.shape[:-1] + (packed_words(k),)
+def _pack_digits_numpy(
+    digits: np.ndarray, bits: int, pad: int, pad_digit: int
+) -> tuple[np.ndarray | None, bool]:
+    """The numpy tier of the ``pack_digits`` contract, and its reference:
+    pad, range-check, bit-split, move channels last and pack them."""
+    # core must stay importable without kernels at module-import time
+    from ..kernels.padding import pad_digits
+
+    if digits.dtype.kind not in "iu" or digits.size and (
+        digits.min() < 0 or digits.max() >= 1 << bits
+    ):
+        return None, True
+    planes = _decompose(pad_digits(digits, pad, pad_digit), bits)
+    words = pack_bits(planes.transpose(0, 1, 3, 4, 2))
+    return words.reshape((-1,) + words.shape[2:]), False
+
+
+def _pack_digits(
+    digits: np.ndarray,
+    precision: Precision,
+    name: str,
+    backend,
+    counters,
+    *,
+    pad: int = 0,
+    pad_digit: int = 0,
+) -> np.ndarray:
+    """The one activation/weight pack every popcount route runs.
+
+    ``(B, C, H, W)`` digits become ``(bits * B, H + 2*pad, W + 2*pad,
+    ceil(C / 64))`` uint64 words: plane ``s`` of image ``i`` at index
+    ``s * B + i`` (plane-major, so gathered rows form the virtual
+    batched operand), channel ``c`` at bit ``c % 64`` of word ``c //
+    64`` with zero filler bits, and the pad frame holding the planes of
+    ``pad_digit``.  The backend's ``pack_digits`` kernel (numpy:
+    :func:`_pack_digits_numpy`) also returns an out-of-range flag; when
+    it is set, :func:`_check_digits` runs on the map as padded and
+    raises its ``TypeError``/``ValueError``.  One ``compiled_kernels``
+    tick per compiled call.
+    """
+    fn = backends.kernel("pack_digits", backend)
+    words, bad = (fn or _pack_digits_numpy)(
+        digits, precision.bits, pad, pad_digit
     )
+    if bad:
+        from ..kernels.padding import pad_digits
+
+        _check_digits(pad_digits(digits, pad, pad_digit), precision, name)
+        raise RuntimeError(
+            f"pack_digits flagged {name} digits that pass the range check"
+        )
+    if fn is not None and counters is not None:
+        counters.compiled_kernels += 1
+    return words
 
 
 def fold_exactness_bound(k: int, p_bits: int, q_bits: int) -> int:
@@ -323,21 +375,18 @@ def prepared_weights(
     form: str,
     build: Callable[[np.ndarray], Any],
 ):
-    """The weight operand ``build(digits)``, after one range check.
+    """The weight operand ``build(digits)``.
 
-    Frozen arrays (:func:`weights_frozen`) are checked and built on
-    first use and served from the memo afterwards; writable arrays are
-    checked and built on every call.  ``form`` names the layout
+    ``build`` range-checks while it packs (both builds run
+    :func:`_pack_digits`).  Frozen arrays (:func:`weights_frozen`) are
+    built on first use and served from the memo afterwards; writable
+    arrays are built on every call.  ``form`` names the layout
     ``build`` produces (``"gemm"`` or ``"conv"``); it and the
     precision, shape and dtype key the memo entry.
     """
-    def prepare():
-        _check_digits(digits, precision, "weight")
-        return build(digits)
-
     key = (form, precision, digits.shape, digits.dtype.str)
-    value = _WEIGHT_MEMO.get(digits, key, prepare)
-    return prepare() if value is None else value
+    value = _WEIGHT_MEMO.get(digits, key, lambda: build(digits))
+    return build(digits) if value is None else value
 
 
 def prepared_weight_stats() -> dict[str, int]:
@@ -613,12 +662,11 @@ def packed_matmul(
     if engine == "bmma":
         w_packed = prepared_weights(
             w_digits, weight, "gemm",
-            lambda d: _pack_checked(d, weight, backend, counters),
+            lambda d: _pack_rows(d, weight, "weight", backend, counters),
         )
-        _check_digits(x_digits, feature, "feature")
         return packed_matmul_planes(
             w_packed,
-            _pack_checked(x_digits, feature, backend, counters),
+            _pack_rows(x_digits, feature, "feature", backend, counters),
             plan,
             counters=counters,
             backend=backend,

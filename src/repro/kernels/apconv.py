@@ -113,7 +113,6 @@ def apconv(
 
     oh, ow = conv_output_shape(h, w, kh, stride, padding)
     pplan = plan_padding(weight, feature)
-    padded = pad_digits(x_digits, padding, pplan.pad_digit)
 
     m, n_gemm = cout, batch * oh * ow
     tune = None
@@ -126,14 +125,17 @@ def apconv(
     if strategy == "packed" and packed_conv_preferred(
         weight, feature, cin * kh * kw, run_backend
     ):
-        # compiled window gather: the im2col digit matrix never exists
+        # compiled window gather: the pad frame is written as packed
+        # words, so neither the padded map nor the im2col matrix exists
         route, prepared = "gather", weights_frozen(w_digits)
         acc = packed_conv_matmul(
-            w_digits, padded, weight, feature,
-            stride=stride, counters=run_counters, backend=run_backend,
+            w_digits, x_digits, weight, feature,
+            stride=stride, padding=padding, pad_digit=pplan.pad_digit,
+            counters=run_counters, backend=run_backend,
         )
     else:
         route, prepared = "im2col", False
+        padded = pad_digits(x_digits, padding, pplan.pad_digit)
         cols = im2col(padded, kh, stride)  # (batch*OH*OW, C_in*kh*kw)
         w_flat = w_digits.reshape(cout, cin * kh * kw)
         if strategy == "packed":

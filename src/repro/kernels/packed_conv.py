@@ -3,11 +3,15 @@
 The PR 5 packed conv lowers onto APMM by materializing the im2col digit
 matrix -- ``(batch * OH * OW, C_in * KH * KW)`` int64 digits, every input
 pixel duplicated ``KH * KW`` times *before* bit packing.  This module is
-the compiled-backend alternative: pack the padded feature map **once**
-(channel-last, ``C_in`` bits per pixel packed into ``ceil(C_in / 64)``
-words) and let the backend's ``conv_gather`` kernel copy each window's
-``KH * KW`` word-runs straight into the GEMM operand -- the duplication
-happens on 64x-compressed words, and the digit matrix never exists.
+the compiled-backend alternative: pack the feature map **once** with the
+``pack_digits`` contract of :mod:`repro.core.packed` (channel-last,
+``C_in`` bits per pixel packed into ``ceil(C_in / 64)`` words, the
+input-aware pad frame written as words) and let the backend's
+``conv_gather`` kernel copy each window's ``KH * KW`` word-runs straight
+into the GEMM operand -- the duplication happens on 64x-compressed
+words, and neither the padded digit map nor the digit matrix exists.
+On the cffi tier the pack is one C pass from the unpadded digits: range
+check, pad frame, bit split and channel pack.
 
 K-order differs from the im2col path (``(KH, KW, C_in)`` vs ``(C_in, KH,
 KW)``), but popcount reductions are permutation-invariant over K, and the
@@ -20,8 +24,10 @@ The GEMM is the popcount-GEMM core of :mod:`repro.core.packed`
 contract, epilogue, tally and int32 check.  Frozen weights
 (:func:`~repro.core.packed.weights_frozen`) are validated and packed
 into the channel-last layout once
-(:func:`~repro.core.packed.prepared_weights`); per call only the feature
-map is checked, packed and gathered.
+(:func:`~repro.core.packed.prepared_weights`): ``(C_out, C_in, KH,
+KW)`` weights through the same ``pack_digits`` contract at pad 0 give the
+channel-last rows directly.  Per call only the feature map is packed
+(range check included) and gathered.
 """
 
 from __future__ import annotations
@@ -29,11 +35,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import backends
-from ..core.bitops import _decompose, packed_words
+from ..core.bitops import packed_words
 from ..core.opselect import select_operator
 from ..core.packed import (
-    _check_digits,
-    _pack_words,
+    _pack_digits,
     _popcount_gemm,
     packed_preferred,
     prepared_weights,
@@ -62,26 +67,15 @@ def packed_conv_preferred(
     return packed_preferred(weight, feature, k_logical, backend)
 
 
-def _pack_conv_weights(
-    w_digits: np.ndarray, p: int, backend, counters
-) -> np.ndarray:
-    """Range-checked ``(C_out, C_in, KH, KW)`` digits -> ``(p * C_out,
-    KH * KW * ceil(C_in / 64))`` channel-last packed words."""
-    cout, cin, kh, kw = w_digits.shape
-    w_planes = _decompose(w_digits, p)  # (p, C_out, C_in, KH, KW)
-    w_cl = np.ascontiguousarray(w_planes.transpose(0, 1, 3, 4, 2))
-    return _pack_words(w_cl, backend, counters).reshape(
-        p * cout, kh * kw * packed_words(cin)
-    )
-
-
 def packed_conv_matmul(
     w_digits: np.ndarray,
-    padded: np.ndarray,
+    x_digits: np.ndarray,
     weight: Precision,
     feature: Precision,
     *,
     stride: int = 1,
+    padding: int = 0,
+    pad_digit: int = 0,
     counters=None,
     backend: "backends.Backend | str | None" = None,
 ) -> np.ndarray:
@@ -91,12 +85,15 @@ def packed_conv_matmul(
     ----------
     w_digits:
         ``(C_out, C_in, KH, KW)`` weight digits.
-    padded:
-        ``(batch, C_in, HP, WP)`` feature digits, *already padded* (the
-        caller owns input-aware padding; this function only sees the
-        framed map, exactly like :func:`~repro.kernels.layout.im2col`).
+    x_digits:
+        ``(batch, C_in, H, W)`` feature digits.
     stride:
         Window stride (square kernels, like the rest of APConv).
+    padding, pad_digit:
+        Spatial padding and the digit that fills it (the caller's
+        input-aware padding plan, :func:`~repro.kernels.padding.
+        plan_padding`); the frame is written straight into the packed
+        words.  ``padding=0`` takes an already padded map.
     counters:
         Optional :class:`~repro.tensorcore.counters.ExecutionCounters`;
         tallies the equivalent 1-bit BMMA work of this layout plus one
@@ -120,30 +117,28 @@ def packed_conv_matmul(
         )
 
     cout, cin, kh, kw = w_digits.shape
-    batch, cin_x, hp, wp = padded.shape
+    batch, cin_x, h, w = x_digits.shape
     if cin != cin_x:
         raise ValueError(
             f"channel mismatch: weights C_in={cin}, features C_in={cin_x}"
         )
+    p, q = weight.bits, feature.bits
     # Weights: same K order as the gathered windows -- (KH, KW, C_in
     # packed), one row per (plane, output channel).
     w_words = prepared_weights(
         w_digits, weight, "conv",
-        lambda d: _pack_conv_weights(d, weight.bits, backend, counters),
+        lambda d: _pack_digits(d, weight, "weight", backend, counters)
+        .reshape(p * cout, kh * kw * packed_words(cin)),
     )
-    _check_digits(padded, feature, "feature")
-    p, q = weight.bits, feature.bits
-    oh = (hp - kh) // stride + 1
-    ow = (wp - kw) // stride + 1
-
-    # Features: decompose once, channel-last, pack C_in per pixel; the
-    # q feature planes ride the images axis so the gathered rows come
-    # out plane-major -- exactly the virtual batched operand layout.
-    x_planes = _decompose(padded, q)  # (q, batch, C_in, HP, WP)
-    x_cl = np.ascontiguousarray(x_planes.transpose(0, 1, 3, 4, 2))
-    x_words = _pack_words(x_cl, backend, counters).reshape(
-        q * batch, hp, wp, packed_words(cin)
+    # Features: (q * batch, HP, WP, cwords); the q planes ride the
+    # images axis, so the gathered rows come out plane-major -- exactly
+    # the virtual batched operand layout.
+    x_words = _pack_digits(
+        x_digits, feature, "feature", backend, counters,
+        pad=padding, pad_digit=pad_digit,
     )
+    oh = (h + 2 * padding - kh) // stride + 1
+    ow = (w + 2 * padding - kw) // stride + 1
     gathered = gather(x_words, kh, kw, stride)  # (q*n_gemm, kwords)
     if counters is not None:
         counters.compiled_kernels += 1

@@ -73,11 +73,12 @@ def pad_digits(x: np.ndarray, padding: int, pad_digit: int) -> np.ndarray:
         raise ValueError(f"padding must be >= 0, got {padding}")
     if padding == 0:
         return x
-    return np.pad(
-        x,
-        ((0, 0), (0, 0), (padding, padding), (padding, padding)),
-        constant_values=pad_digit,
+    n, c, h, w = x.shape
+    out = np.full(
+        (n, c, h + 2 * padding, w + 2 * padding), pad_digit, dtype=x.dtype
     )
+    out[:, :, padding:padding + h, padding:padding + w] = x
+    return out
 
 
 def padding_correction(

@@ -132,7 +132,7 @@ class TestDegradation:
 
     def test_loader_missing_advertised_kernel_degrades(self):
         with temp_backend("zz-partial", priority=99,
-                          loader=lambda: {"pack_bits": lambda *a: None}):
+                          loader=lambda: {"pack_digits": lambda *a: None}):
             with pytest.warns(RuntimeWarning, match="without advertised"):
                 assert get_backend().name != "zz-partial"
 
@@ -153,8 +153,8 @@ class TestKernelLookup:
                 assert backends.kernel(cap, "zz-high") is table[cap]
 
     def test_capability_not_advertised_returns_none(self):
-        with temp_backend("zz-packonly", capabilities=("pack_bits",),
-                          loader=lambda: {"pack_bits": lambda *a: None}):
+        with temp_backend("zz-packonly", capabilities=("pack_digits",),
+                          loader=lambda: {"pack_digits": lambda *a: None}):
             assert backends.kernel("conv_gather", "zz-packonly") is None
 
 

@@ -31,7 +31,7 @@ from repro.core import (
     select_operator,
 )
 from repro.core.bitops import unpack_bits
-from repro.core.packed import packed_preferred
+from repro.core.packed import _pack_digits, packed_preferred
 from repro.core.quantize import _freeze
 from repro.kernels.apconv import apconv
 from repro.kernels.apmm import apmm
@@ -329,3 +329,83 @@ class TestNonIntegerDigits:
         w, x = (bad, good) if operand == "weight" else (good, bad)
         with pytest.raises(TypeError, match="integer"):
             _run_route(route, backend, w, x)
+
+
+def _error_text(fn):
+    """``(type, message)`` of the exception ``fn()`` raises."""
+    with pytest.raises((TypeError, ValueError)) as exc:
+        fn()
+    return type(exc.value), str(exc.value)
+
+
+def _spoil(digits, case, bits):
+    """``digits`` with one bad interior digit, or in a non-integer dtype."""
+    kind, dtype = case
+    if kind in ("float", "bool"):
+        return digits.astype(dtype)
+    bad = digits.astype(dtype)
+    bad.flat[digits.size // 2] = -1 if kind == "negative" else 1 << bits
+    return bad
+
+
+class TestErrorParity:
+    """``apmm`` on the prepared popcount route and the ``apconv`` gather
+    raise the same exception with the same text on the cffi tier (the
+    compiled pack flags the digits, then ``_check_digits`` runs) as on
+    the numpy tier (fold and im2col check the digits directly)."""
+
+    CASES = [
+        ("negative", np.int64), ("negative", np.int32),
+        ("too-large", np.uint8), ("too-large", np.uint16),
+        ("too-large", np.int32), ("float", np.float64), ("bool", np.bool_),
+    ]
+
+    @needs_cffi
+    @pytest.mark.parametrize("operand", ["weight", "feature"])
+    @pytest.mark.parametrize("case", CASES, ids=lambda c: f"{c[0]}-{c[1].__name__}")
+    def test_apmm(self, operand, case):
+        wp, xp = Precision(1, B), Precision(2, U)
+        w, x = _operands(5, 8, 4, 70, wp, xp)
+        if operand == "weight":
+            w = _spoil(w, case, wp.bits)
+        else:
+            x = _spoil(x, case, xp.bits)
+        w = _freeze(w) if w.dtype.kind in "iu" else w
+        texts = [
+            _error_text(lambda: apmm(w, x, wp, xp, backend=backend))
+            for backend in ("cffi", "numpy")
+        ]
+        assert texts[0] == texts[1]
+
+    @needs_cffi
+    @pytest.mark.parametrize("x_enc", [U, B], ids=["unsigned", "bipolar"])
+    @pytest.mark.parametrize("operand", ["weight", "feature"])
+    @pytest.mark.parametrize("case", CASES, ids=lambda c: f"{c[0]}-{c[1].__name__}")
+    def test_apconv_gather(self, x_enc, operand, case):
+        wp, xp = Precision(1, B), Precision(2, x_enc)
+        rng = np.random.default_rng(6)
+        w = wp.random_digits(rng, (4, 16, 3, 3))
+        x = xp.random_digits(rng, (2, 16, 5, 5))
+        assert packed_conv_preferred(wp, xp, 16 * 9, "cffi")
+        if operand == "weight":
+            w = _spoil(w, case, wp.bits)
+        else:
+            x = _spoil(x, case, xp.bits)
+        texts = [
+            _error_text(lambda: apconv(w, x, wp, xp, padding=1,
+                                       backend=backend))
+            for backend in ("cffi", "numpy")
+        ]
+        assert texts[0] == texts[1]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int32])
+    def test_narrow_integer_digits_pack_the_same_words(self, backend, dtype):
+        xp = Precision(2, B)
+        rng = np.random.default_rng(7)
+        x = xp.random_digits(rng, (2, 70, 3, 3))
+        want = _pack_digits(x, xp, "feature", backend, None,
+                            pad=1, pad_digit=3)
+        got = _pack_digits(x.astype(dtype), xp, "feature", backend, None,
+                           pad=1, pad_digit=3)
+        assert np.array_equal(got, want)
